@@ -15,7 +15,15 @@ from enum import Enum
 import numpy as np
 
 from .image import Image
-from .resample import _check_ratio, bilinear_blend, map_axis, map_locus
+from .resample import (
+    _bilinear_weights,
+    _check_ratio,
+    _int_dtype,
+    _interleave,
+    _pad_edges,
+    bilinear_blend,
+    map_locus,
+)
 
 
 class ModeKind(Enum):
@@ -145,22 +153,20 @@ def cell_at(img: Image, dst_x: int, dst_y: int, ratio: int) -> NeighborSet:
 
 def resample_nnv(img: Image, ratio: int) -> Image:
     """Upscale with NNV: copy source pixels at exact sample sites, fill
-    every other location per nnv_pixel.
+    every other location with its cell's unique mode, else with the
+    neighbor closest to the bilinear value (the rule of nnv_pixel),
+    in exact integer arithmetic.
 
-    Vectorized, but bit-identical to evaluating nnv_pixel at every
-    output position.
+    The mode census depends only on the 2x2 cell, so it runs once per
+    source cell. The bilinear fallback runs only on cells without a
+    unique mode: at offset (i/ratio, j/ratio) the bilinear value is
+    N / ratio**2 with integer N, so the gaps |ratio**2 * v - N| compare
+    exactly and the first minimum in A/K/P/G order wins.
     """
     _check_ratio(ratio)
-    pix = img.pixels
-    x0, fx = map_axis(img.width * ratio, ratio)
-    y0, fy = map_axis(img.height * ratio, ratio)
-    x1 = np.minimum(x0 + 1, img.width - 1)
-    y1 = np.minimum(y0 + 1, img.height - 1)
-
-    a = pix[y0[:, None], x0[None, :]]
-    k = pix[y0[:, None], x1[None, :]]
-    p = pix[y1[:, None], x0[None, :]]
-    g = pix[y1[:, None], x1[None, :]]
+    h, w = img.height, img.width
+    src = _pad_edges(img.pixels, 0, 1)
+    a, k, p, g = src[:-1, :-1], src[:-1, 1:], src[1:, :-1], src[1:, 1:]
 
     # per-cell frequency of each neighbor's value (counting itself)
     count_a = 1 + (a == k) + (a == p) + (a == g)
@@ -174,16 +180,39 @@ def resample_nnv(img: Image, ratio: int) -> Image:
     has_mode = (top >= 3) | ((top == 2) & (doubled == 2))
     mode_value = np.where(
         count_a == top, a, np.where(count_k == top, k, np.where(count_p == top, p, g))
-    )
+    ).reshape(h * w)
 
-    b = bilinear_blend(a, k, p, g, fx[None, :], fy[:, None])
-    gaps = np.stack([np.abs(a - b), np.abs(k - b), np.abs(p - b), np.abs(g - b)])
-    first_min = np.argmin(gaps, axis=0)  # first occurrence on ties
-    closest = np.where(
-        first_min == 0, a, np.where(first_min == 1, k, np.where(first_min == 2, p, g))
-    )
+    # The cells without a unique mode, compacted to (1, m) rows. Each
+    # neighbor's key is gap * 1024 + position * 256 + value, so the
+    # smallest key is the first neighbor at the smallest gap and its low
+    # byte is that neighbor's value.
+    rest = np.flatnonzero(~has_mode)
+    dtype = _int_dtype(1024 * (ratio * ratio * img.max_value + 1))
+    cells = [v.reshape(1, -1)[:, rest].astype(dtype) for v in (a, k, p, g)]
+    weights = 1024 * _bilinear_weights(ratio).astype(dtype)[:, :, None]
+    # 1024 * horizontal bilinear numerators of the top and bottom rows,
+    # (ratio, m): one row per column phase
+    upper = weights[:, 0] * cells[0] + weights[:, 1] * cells[1]
+    lower = weights[:, 0] * cells[2] + weights[:, 1] * cells[3]
+    scaled = [1024 * ratio * ratio * v for v in cells]
+    tags = [256 * position + v for position, v in enumerate(cells)]
 
-    out = np.where(has_mode, mode_value, closest)
-    exact_site = (fy == 0.0)[:, None] & (fx == 0.0)[None, :]
-    out = np.where(exact_site, a, out)
-    return Image(out, img.max_value)
+    def row_phase(j: int) -> np.ndarray:
+        planes = np.empty((ratio, h * w), dtype=np.uint8)
+        planes[:] = mode_value
+        num = (ratio - j) * upper
+        num += j * lower
+        key = None
+        for s, tag in zip(scaled, tags):
+            gap = s - num
+            np.abs(gap, out=gap)
+            gap += tag
+            key = gap if key is None else np.minimum(key, gap, out=key)
+        key &= 255
+        planes[:, rest] = key
+        planes = planes.reshape(ratio, h, w)
+        if j == 0:
+            planes[0] = img.pixels
+        return planes
+
+    return _interleave(img, ratio, row_phase)

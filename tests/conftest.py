@@ -53,9 +53,10 @@ def available_standard_originals():
 def timing_image():
     """(label, 512x512 Image) for wall-clock measurements.
 
-    Timing does not depend on pixel content (the resamplers are fixed
-    -shape array pipelines with no data-dependent branching), so any
-    512x512 raster exercises the same code paths as the standard set.
+    Timing depends on pixel content for nnv: its bilinear fallback runs
+    only on 2x2 cells without a unique mode, so flat or posterized content
+    is cheaper than a photograph or noise. nn, bilinear and bicubic do the
+    same work on any content of a given size.
     """
     try:
         from skimage import data

@@ -1,101 +1,120 @@
-"""Slow per-pixel reference resamplers and independent oracles.
+"""Exact per-pixel reference resamplers and independent oracles.
 
-The reference resamplers evaluate the library's scalar per-pixel
-operations in plain loops; they exist to pin the vectorized resamplers
-bit-for-bit. The oracles at the bottom share no code with the library's
-selection logic.
+The reference resamplers evaluate the README's definitions with
+fractions.Fraction, one output pixel at a time, and share no code with
+the package: output index X maps to source position X / ratio exactly,
+companions and taps clamp to the edge, quantization is floor(v + 1/2)
+clamped to [0, max_value]. They pin the vectorized resamplers pixel for
+pixel at every integer ratio. The oracles at the bottom share no code
+with the library's selection logic either.
 """
 
+import math
 from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from nnvresize import (
-    Image,
-    bilinear_at,
-    cubic_kernel,
-    map_coord,
-    map_locus,
-    nnv_pixel,
-    cell_at,
-)
+from nnvresize import Image
+
+HALF = Fraction(1, 2)
+CUBIC_A = Fraction(-1, 2)
 
 
-def _quantize_scalar(value: float, max_value: int) -> int:
-    import math
-
-    return int(min(max(math.floor(value + 0.5), 0), max_value))
-
-
-def ref_resample_nn(img: Image, ratio: int) -> Image:
-    out = np.empty((img.height * ratio, img.width * ratio), dtype=np.uint8)
-    for y in range(out.shape[0]):
-        y0, fy = map_coord(y, ratio)
-        yi = y0 if fy <= 0.5 else min(y0 + 1, img.height - 1)
-        for x in range(out.shape[1]):
-            x0, fx = map_coord(x, ratio)
-            xi = x0 if fx <= 0.5 else min(x0 + 1, img.width - 1)
-            out[y, x] = img.get(xi, yi)
-    return Image(out, img.max_value)
+def _locate(index: int, ratio: int, size: int):
+    """(base, clamped companion, exact offset) of an output index."""
+    base, rem = divmod(index, ratio)
+    return base, min(base + 1, size - 1), Fraction(rem, ratio)
 
 
-def ref_resample_bilinear(img: Image, ratio: int) -> Image:
-    out = np.empty((img.height * ratio, img.width * ratio), dtype=np.uint8)
-    for y in range(out.shape[0]):
-        for x in range(out.shape[1]):
-            locus = map_locus(img.width, img.height, x, y, ratio)
-            out[y, x] = _quantize_scalar(bilinear_at(img, locus), img.max_value)
-    return Image(out, img.max_value)
+def _round_half_up(value: Fraction, max_value: int) -> int:
+    return min(max(math.floor(value + HALF), 0), max_value)
 
 
-def ref_resample_bicubic(img: Image, ratio: int) -> Image:
-    out = np.empty((img.height * ratio, img.width * ratio), dtype=np.uint8)
-    for y in range(out.shape[0]):
-        y0, ty = map_coord(y, ratio)
-        rows = [min(max(y0 + j, 0), img.height - 1) for j in (-1, 0, 1, 2)]
-        wy = [cubic_kernel(1.0 + ty), cubic_kernel(ty), cubic_kernel(1.0 - ty), cubic_kernel(2.0 - ty)]
-        for x in range(out.shape[1]):
-            x0, tx = map_coord(x, ratio)
-            cols = [min(max(x0 + j, 0), img.width - 1) for j in (-1, 0, 1, 2)]
-            wx = [cubic_kernel(1.0 + tx), cubic_kernel(tx), cubic_kernel(1.0 - tx), cubic_kernel(2.0 - tx)]
-            # horizontal pass then vertical, same association order as the
-            # vectorized path so results match bit-for-bit
-            value = 0.0
-            for j in range(4):
-                row = img.pixels[rows[j]]
-                mid = (
-                    wx[0] * row[cols[0]]
-                    + wx[1] * row[cols[1]]
-                    + wx[2] * row[cols[2]]
-                    + wx[3] * row[cols[3]]
-                )
-                value = value + wy[j] * mid
-            out[y, x] = _quantize_scalar(value, img.max_value)
-    return Image(out, img.max_value)
+def _bilinear(a, k, p, g, dx: Fraction, dy: Fraction) -> Fraction:
+    """Tensor-product blend of the cell (a k / p g) at offset (dx, dy)."""
+    top = a + dx * (k - a)
+    return top + dy * (p + dx * (g - p) - top)
 
 
-def ref_resample_nnv(img: Image, ratio: int) -> Image:
-    out = np.empty((img.height * ratio, img.width * ratio), dtype=np.uint8)
-    for y in range(out.shape[0]):
-        y0, fy = map_coord(y, ratio)
-        for x in range(out.shape[1]):
-            x0, fx = map_coord(x, ratio)
-            if fx == 0.0 and fy == 0.0:
-                out[y, x] = img.get(x0, y0)
-            else:
-                out[y, x] = nnv_pixel(cell_at(img, x, y, ratio))
-    return Image(out, img.max_value)
+def _cubic_kernel(s: Fraction) -> Fraction:
+    """Keys cubic-convolution kernel with a = -1/2."""
+    u = abs(s)
+    if u <= 1:
+        return (CUBIC_A + 2) * u**3 - (CUBIC_A + 3) * u**2 + 1
+    if u < 2:
+        return CUBIC_A * (u**3 - 5 * u**2 + 8 * u - 4)
+    return Fraction(0)
 
 
-REF_RESAMPLERS = {
-    "nn": ref_resample_nn,
-    "bilinear": ref_resample_bilinear,
-    "bicubic": ref_resample_bicubic,
-    "nnv": ref_resample_nnv,
-}
+@lru_cache(maxsize=None)
+def _cubic_taps(t: Fraction):
+    """Weights of taps -1..2 at offset t, as integer numerators over one
+    denominator so that a pixel sums in exact integer arithmetic."""
+    weights = [_cubic_kernel(d - t) for d in (-1, 0, 1, 2)]
+    denom = math.lcm(*(v.denominator for v in weights))
+    return [int(v * denom) for v in weights], denom
+
+
+def exact_pixel(method: str, rows, max_value: int, ratio: int, x: int, y: int) -> int:
+    """The README's value of output pixel (x, y); ``rows`` is the source
+    as a list of lists of ints."""
+    h, w = len(rows), len(rows[0])
+    x0, x1, dx = _locate(x, ratio, w)
+    y0, y1, dy = _locate(y, ratio, h)
+    if method == "nn":
+        return rows[y0 if dy <= HALF else y1][x0 if dx <= HALF else x1]
+    cell = (rows[y0][x0], rows[y0][x1], rows[y1][x0], rows[y1][x1])
+    if method == "bilinear":
+        return _round_half_up(_bilinear(*cell, dx, dy), max_value)
+    if method == "bicubic":
+        (wx, x_den), (wy, y_den) = _cubic_taps(dx), _cubic_taps(dy)
+        cols = [min(max(x0 + o, 0), w - 1) for o in (-1, 0, 1, 2)]
+        total = 0
+        for weight, o in zip(wy, (-1, 0, 1, 2)):
+            row = rows[min(max(y0 + o, 0), h - 1)]
+            total += weight * sum(c * row[col] for c, col in zip(wx, cols))
+        return _round_half_up(Fraction(total, x_den * y_den), max_value)
+    if method == "nnv":
+        if dx == 0 and dy == 0:
+            return cell[0]
+        mode = oracle_unique_mode(cell)
+        if mode is not None:
+            return mode
+        b = _bilinear(*cell, dx, dy)
+        gaps = [abs(v - b) for v in cell]
+        return cell[oracle_first_argmin(gaps)]
+    raise ValueError(f"unknown method {method!r}")
+
+
+def exact_resample(method: str, img: Image, ratio: int) -> Image:
+    """Whole-image reference: exact_pixel at every output position."""
+    rows = img.pixels.tolist()
+    out = [
+        [exact_pixel(method, rows, img.max_value, ratio, x, y) for x in range(img.width * ratio)]
+        for y in range(img.height * ratio)
+    ]
+    return Image(np.array(out, dtype=np.uint8), img.max_value)
 
 
 # --- independent oracles -------------------------------------------------
+
+
+def cell_values(img: Image, ratio: int):
+    """(a, k, p, g): the 2x2 cell values under every output pixel, edges
+    clamped, derived with integer division only."""
+    ys = np.arange(img.height * ratio) // ratio
+    xs = np.arange(img.width * ratio) // ratio
+    y_next = np.minimum(ys + 1, img.height - 1)
+    x_next = np.minimum(xs + 1, img.width - 1)
+    pix = img.pixels
+    return (
+        pix[ys[:, None], xs[None, :]],
+        pix[ys[:, None], x_next[None, :]],
+        pix[y_next[:, None], xs[None, :]],
+        pix[y_next[:, None], x_next[None, :]],
+    )
 
 
 def oracle_unique_mode(values):

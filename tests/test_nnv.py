@@ -19,7 +19,7 @@ from nnvresize import (
 )
 
 from conftest import random_image
-from refimpl import oracle_first_argmin, oracle_nnv_centered, oracle_unique_mode, ref_resample_nnv
+from refimpl import exact_resample, oracle_first_argmin, oracle_nnv_centered, oracle_unique_mode
 
 
 class TestMode4:
@@ -172,7 +172,7 @@ class TestResampleNnv:
     def test_matches_per_pixel_reference(self, rng):
         for n in (1, 2, 3, 4, 5):
             img = random_image(rng, 7, 6)
-            assert resample_nnv(img, n) == ref_resample_nnv(img, n)
+            assert resample_nnv(img, n) == exact_resample("nnv", img, n)
 
     def test_deterministic(self, rng):
         img = random_image(rng, 16, 16)
