@@ -3,9 +3,6 @@ interpolation, with nearest/bilinear/bicubic baselines, PGM I/O, PSNR/MSE
 metrics, and a benchmark harness."""
 
 from .bench import (
-    BenchReport,
-    BenchRow,
-    CSV_HEADER,
     METHOD_ORDER,
     RESAMPLERS,
     get_resampler,
@@ -24,64 +21,22 @@ from .image import (
     write_pgm,
 )
 from .metrics import MetricsReport, mse, psnr
-from .nnv import (
-    DiffSet,
-    ModeKind,
-    ModeOutcome,
-    NeighborSet,
-    abs_diffs,
-    cell_at,
-    mode4,
-    nnv_pixel,
-    resample_nnv,
-    select_neighbor,
-)
-from .resample import (
-    CUBIC_A,
-    SourceLocus,
-    bilinear_at,
-    bilinear_blend,
-    cubic_kernel,
-    map_coord,
-    map_locus,
-    quantize,
-    resample_bicubic,
-    resample_bilinear,
-    resample_nn,
-)
+from .nnv import resample_nnv
+from .resample import resample_bicubic, resample_bilinear, resample_nn
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchReport",
-    "BenchRow",
-    "CSV_HEADER",
-    "CUBIC_A",
-    "DiffSet",
     "Image",
     "METHOD_ORDER",
     "MetricsReport",
-    "ModeKind",
-    "ModeOutcome",
-    "NeighborSet",
     "PgmError",
     "RESAMPLERS",
-    "SourceLocus",
-    "abs_diffs",
-    "bilinear_at",
-    "bilinear_blend",
     "block_downsample",
-    "cell_at",
-    "cubic_kernel",
     "get_resampler",
     "load_pgm",
-    "map_coord",
-    "map_locus",
-    "mode4",
     "mse",
-    "nnv_pixel",
     "psnr",
-    "quantize",
     "read_pgm",
     "report_markdown",
     "resample_bicubic",
@@ -91,7 +46,6 @@ __all__ = [
     "rows_to_csv",
     "run_benchmark",
     "save_pgm",
-    "select_neighbor",
     "time_resample",
     "write_pgm",
 ]

@@ -184,14 +184,18 @@ def write_pgm(path: str | os.PathLike, img: Image) -> None:
         fh.write(save_pgm(img))
 
 
+def _check_ratio(ratio) -> None:
+    if not isinstance(ratio, int) or isinstance(ratio, bool) or ratio < 1:
+        raise ValueError(f"ratio must be an integer >= 1, got {ratio!r}")
+
+
 def block_downsample(img: Image, ratio: int) -> Image:
     """Shrink by an integer ratio, averaging each ratio x ratio block.
 
     Block means are rounded half up. Width and height must be divisible
     by the ratio.
     """
-    if not isinstance(ratio, int) or ratio < 1:
-        raise ValueError(f"ratio must be an integer >= 1, got {ratio!r}")
+    _check_ratio(ratio)
     if img.width % ratio or img.height % ratio:
         raise ValueError(
             f"dimensions {img.width}x{img.height} not divisible by ratio {ratio}"

@@ -10,101 +10,16 @@ At an integer ratio r every sub-pixel offset is i/r, so output pixel
 edge-padded source around (y, x). The resamplers compute the r phase
 planes of one row phase j at a time from shifted views of that source,
 weigh taps with integers over a power of r so that every value is exact
-at every ratio, and write plane (j, i) into out[j::r, i::r]. The float
-scalar helpers (map_coord, bilinear_at, cubic_kernel, ...) agree with
-the resamplers only at dyadic offsets.
+at every ratio, and write plane (j, i) into out[j::r, i::r].
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .image import Image
-
-# cubic-convolution sharpness parameter (Catmull-Rom)
-CUBIC_A = -0.5
-
-
-def _check_ratio(ratio) -> None:
-    if not isinstance(ratio, int) or ratio < 1:
-        raise ValueError(f"ratio must be an integer >= 1, got {ratio!r}")
-
-
-def map_coord(dst_index: int, ratio: int) -> tuple[int, float]:
-    """Map an output index to (source base index, fractional offset).
-
-    The source position is ``dst_index / ratio``; the fraction is its part
-    past the base index, in [0, 1). Exact source sample sites come back
-    with fraction 0.0.
-    """
-    _check_ratio(ratio)
-    s = dst_index / ratio
-    base = math.floor(s)
-    return base, s - base
-
-
-@dataclass(frozen=True)
-class SourceLocus:
-    """2x2 source cell around a mapped output position.
-
-    (x0, y0) is the base sample, (x1, y1) the companion clamped to the
-    image; (dx, dy) are the fractional offsets inside the cell.
-    """
-
-    x0: int
-    y0: int
-    x1: int
-    y1: int
-    dx: float
-    dy: float
-
-
-def map_locus(width: int, height: int, dst_x: int, dst_y: int, ratio: int) -> SourceLocus:
-    """Locate the source cell for output pixel (dst_x, dst_y)."""
-    x0, dx = map_coord(dst_x, ratio)
-    y0, dy = map_coord(dst_y, ratio)
-    return SourceLocus(
-        x0=x0,
-        y0=y0,
-        x1=min(x0 + 1, width - 1),
-        y1=min(y0 + 1, height - 1),
-        dx=dx,
-        dy=dy,
-    )
-
-
-def bilinear_blend(p00, p10, p01, p11, dx, dy):
-    """Tensor-product average of a 2x2 cell: rows first, then columns.
-
-    Accepts scalars or broadcastable arrays.
-    """
-    top = (1.0 - dx) * p00 + dx * p10
-    bottom = (1.0 - dx) * p01 + dx * p11
-    return (1.0 - dy) * top + dy * bottom
-
-
-def bilinear_at(img: Image, locus: SourceLocus) -> float:
-    """Unquantized bilinear value at a source locus."""
-    return float(
-        bilinear_blend(
-            img.get(locus.x0, locus.y0),
-            img.get(locus.x1, locus.y0),
-            img.get(locus.x0, locus.y1),
-            img.get(locus.x1, locus.y1),
-            locus.dx,
-            locus.dy,
-        )
-    )
-
-
-def quantize(values, max_value: int) -> np.ndarray:
-    """Round half up and clamp to [0, max_value]; returns uint8."""
-    q = np.floor(np.asarray(values, dtype=np.float64) + 0.5)
-    return np.clip(q, 0, max_value).astype(np.uint8)
+from .image import Image, _check_ratio
 
 
 def _pad_edges(pixels: np.ndarray, before: int, after: int) -> np.ndarray:
@@ -216,19 +131,6 @@ def resample_bilinear(img: Image, ratio: int) -> Image:
     """Upscale with bilinear interpolation over clamped 2x2 cells."""
     _check_ratio(ratio)
     return _separable(img, ratio, _bilinear_weights(ratio), 0)
-
-
-def cubic_kernel(t: float) -> float:
-    """Cubic-convolution weight at distance t (a = -0.5).
-
-    Interpolating: 1 at t=0, 0 at integer |t| >= 1, support (-2, 2).
-    """
-    u = abs(t)
-    if u <= 1.0:
-        return ((CUBIC_A + 2.0) * u - (CUBIC_A + 3.0)) * u * u + 1.0
-    if u < 2.0:
-        return (((u - 5.0) * u + 8.0) * u - 4.0) * CUBIC_A
-    return 0.0
 
 
 def resample_bicubic(img: Image, ratio: int) -> Image:

@@ -9,30 +9,25 @@ resolved; unavailable ones are reported, and the checks run on the rest).
 import contextlib
 import io
 import itertools
+import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from nnvresize import (
     Image,
-    NeighborSet,
     block_downsample,
-    cell_at,
-    cubic_kernel,
-    bilinear_at,
     get_resampler,
-    map_locus,
-    mode4,
-    nnv_pixel,
     psnr,
-    resample_bicubic,
     resample_bilinear,
     resample_nn,
     resample_nnv,
     time_resample,
     write_pgm,
 )
+from nnvresize.resample import _cubic_weights
 from nnvresize.cli import main as cli_main
 
 from conftest import (
@@ -41,7 +36,7 @@ from conftest import (
     random_image,
     timing_image,
 )
-from refimpl import cell_values, oracle_nnv_centered, oracle_unique_mode
+from refimpl import cell_values, exact_resample, oracle_nnv_centered, oracle_unique_mode
 
 # Externally reported NNV scores for the classic 512x512 set at ratio 4.
 # Calibration targets only: deltas are printed, never asserted.
@@ -73,12 +68,12 @@ def test_criterion_1_nnv_pixel_matches_brute_force_oracle():
     start = time.perf_counter()
     mismatches = sum(
         1
-        for cell in itertools.product(alphabet, repeat=4)
-        if nnv_pixel(NeighborSet(*cell, 0.5, 0.5)) != oracle_nnv_centered(*cell)
+        for a, k, p, g in itertools.product(alphabet, repeat=4)
+        if resample_nnv(Image([[a, k], [p, g]]), 2).get(1, 1) != oracle_nnv_centered(a, k, p, g)
     )
     elapsed = time.perf_counter() - start
     _report(
-        "criterion 1 (625-cell nnv_pixel vs brute-force oracle, < 1 s)",
+        "criterion 1 (625 centered cells of resample_nnv vs brute-force oracle, < 1 s)",
         mismatches == 0 and elapsed < 1.0,
         f"{mismatches} mismatches, {elapsed:.3f} s",
     )
@@ -86,15 +81,19 @@ def test_criterion_1_nnv_pixel_matches_brute_force_oracle():
 
 def test_criterion_2_mode4_truth_table():
     bad = []
-    for tup in itertools.product(range(4), repeat=4):
-        outcome = mode4(tup)
-        expected = oracle_unique_mode(tup)
-        if expected is None:
-            if outcome.is_mode:
-                bad.append(tup)
-        elif not (outcome.is_mode and outcome.value == expected):
-            bad.append(tup)
-    _report("criterion 2 (mode4 truth table, 256 tuples)", not bad, f"{len(bad)} violations")
+    for a, k, p, g in itertools.product(range(4), repeat=4):
+        img = Image([[a, k], [p, g]])
+        mode = oracle_unique_mode((a, k, p, g))
+        for ratio in (2, 3):
+            out = resample_nnv(img, ratio)
+            fill = out.pixels[:ratio, :ratio].ravel()[1:]  # the cell minus its site
+            if out != exact_resample("nnv", img, ratio) or (mode is not None and np.any(fill != mode)):
+                bad.append(((a, k, p, g), ratio))
+    _report(
+        "criterion 2 (mode truth table, 256 tuples x ratios 2,3 vs exact oracle)",
+        not bad,
+        f"{len(bad)} violations",
+    )
 
 
 def test_criterion_3_no_new_values():
@@ -132,34 +131,27 @@ def test_criterion_4_identity_and_source_preservation():
 
 
 def test_criterion_5_bilinear_ramp_and_kernel_partition():
-    worst_ramp = 0.0
+    ramp_errors = 0
+    half = Fraction(1, 2)
     for slope_x, slope_y, offset in [(3, 5, 10), (1, 0, 0), (0, 2, 7), (2, 3, 50)]:
         img = Image(
             [[slope_x * x + slope_y * y + offset for x in range(6)] for y in range(6)]
         )
         for ratio in (2, 3, 4):
-            for y in range(6 * ratio):
-                for x in range(6 * ratio):
-                    locus = map_locus(6, 6, x, y, ratio)
-                    if locus.x1 != locus.x0 + 1 or locus.y1 != locus.y0 + 1:
-                        continue  # clamped support
-                    expected = slope_x * (x / ratio) + slope_y * (y / ratio) + offset
-                    worst_ramp = max(worst_ramp, abs(bilinear_at(img, locus) - expected))
+            out = resample_bilinear(img, ratio)
+            for y in range(5 * ratio):  # interior loci: no clamped support
+                for x in range(5 * ratio):
+                    ramp = slope_x * Fraction(x, ratio) + slope_y * Fraction(y, ratio) + offset
+                    ramp_errors += out.get(x, y) != math.floor(ramp + half)
 
-    worst_partition = 0.0
-    for t in np.linspace(0.0, 1.0, 1000, endpoint=False):
-        total = (
-            cubic_kernel(-1.0 - t)
-            + cubic_kernel(-t)
-            + cubic_kernel(1.0 - t)
-            + cubic_kernel(2.0 - t)
-        )
-        worst_partition = max(worst_partition, abs(total - 1.0))
+    partition_errors = sum(
+        1 for r in range(1, 13) if np.any(_cubic_weights(r).sum(axis=1) != 2 * r**3)
+    )
 
     _report(
-        "criterion 5 (bilinear ramp <= 1e-9; kernel partition of unity <= 1e-12)",
-        worst_ramp <= 1e-9 and worst_partition <= 1e-12,
-        f"ramp err {worst_ramp:.2e}, partition err {worst_partition:.2e}",
+        "criterion 5 (bilinear ramp exact after rounding; cubic weights sum to 2r^3, r = 1..12)",
+        ramp_errors == 0 and partition_errors == 0,
+        f"{ramp_errors} ramp pixels off, {partition_errors} ratios off unity",
     )
 
 

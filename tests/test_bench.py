@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nnvresize import (
-    CSV_HEADER,
     Image,
     get_resampler,
     report_markdown,
@@ -12,6 +11,7 @@ from nnvresize import (
     run_benchmark,
     time_resample,
 )
+from nnvresize.bench import CSV_HEADER
 
 from conftest import random_image
 

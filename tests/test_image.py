@@ -150,8 +150,9 @@ class TestBlockDownsample:
             block_downsample(Image([[1, 2, 3]]), 2)
 
     def test_bad_ratio_rejected(self):
-        with pytest.raises(ValueError, match="ratio"):
-            block_downsample(Image([[1]]), 0)
+        for bad in (0, True):
+            with pytest.raises(ValueError, match="ratio"):
+                block_downsample(Image([[1]]), bad)
 
     def test_output_within_block_range(self, rng):
         img = random_image(rng, 12, 12)

@@ -1,141 +1,163 @@
-"""Mode selection, bilinear-guided neighbor choice, and the NNV resampler."""
+"""Mode selection, bilinear-guided neighbor choice, and the NNV resampler.
+
+The per-pixel rule is checked through resample_nnv on 2x2 images: the
+top-left cell (a k / p g) is the only one without clamped companions,
+and its non-site pixels are the first ratio x ratio block minus (0, 0).
+"""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from nnvresize import (
-    DiffSet,
-    Image,
-    ModeKind,
-    NeighborSet,
-    abs_diffs,
-    cell_at,
-    mode4,
-    nnv_pixel,
-    resample_nnv,
-    select_neighbor,
-)
+from nnvresize import Image, resample_bilinear, resample_nnv
 
 from conftest import random_image
-from refimpl import exact_resample, oracle_first_argmin, oracle_nnv_centered, oracle_unique_mode
+from refimpl import (
+    cell_values,
+    exact_resample,
+    oracle_first_argmin,
+    oracle_nnv_centered,
+    oracle_unique_mode,
+)
+
+
+def _cell(a, k, p, g):
+    return Image([[a, k], [p, g]])
+
+
+def _fill(cell, ratio):
+    """NNV values of the cell's non-site pixels, row-major."""
+    return resample_nnv(_cell(*cell), ratio).pixels[:ratio, :ratio].ravel()[1:]
+
+
+def _centered(cell):
+    """NNV value at offset (1/2, 1/2) of the cell."""
+    return resample_nnv(_cell(*cell), 2).get(1, 1)
 
 
 class TestMode4:
+    """A unique mode of the cell fills every non-site pixel; (2,2) ties
+    and all-distinct cells fall back to the bilinear guide."""
+
     def test_triple(self):
-        out = mode4([5, 5, 5, 9])
-        assert out.is_mode and out.value == 5
+        assert set(_fill((5, 5, 5, 9), 4)) == {5}
 
     def test_two_pairs_is_a_tie(self):
-        assert mode4([5, 5, 7, 7]).kind is ModeKind.NO_MODE_TIE
+        # offset (1/4, 0) stays with 5; offset (0, 3/4) is nearer 7
+        assert set(_fill((5, 5, 7, 7), 4)) == {5, 7}
 
     def test_all_distinct(self):
-        assert mode4([1, 2, 3, 4]).kind is ModeKind.NO_MODE_ALL_DISTINCT
+        assert len(set(_fill((1, 2, 3, 4), 4))) > 1
 
     def test_all_equal(self):
-        out = mode4([9, 9, 9, 9])
-        assert out.is_mode and out.value == 9
+        assert set(_fill((9, 9, 9, 9), 4)) == {9}
 
     def test_single_pair(self):
-        out = mode4([3, 8, 3, 1])
-        assert out.is_mode and out.value == 3
-
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(ValueError):
-            mode4([1, 2, 3])
+        assert set(_fill((3, 8, 3, 1), 4)) == {3}
 
     def test_exhaustive_against_frequency_patterns(self):
         for tup in itertools.product(range(4), repeat=4):
-            got = mode4(tup)
             expected = oracle_unique_mode(tup)
-            if expected is None:
-                assert not got.is_mode, tup
-            else:
-                assert got.is_mode and got.value == expected, tup
+            if expected is not None:
+                assert set(_fill(tup, 2)) == {expected}, tup
+            img = _cell(*tup)
+            assert resample_nnv(img, 2) == exact_resample("nnv", img, 2), tup
 
 
 class TestAbsDiffs:
+    """The fallback measures each neighbor's gap to the bilinear value."""
+
     def test_centered_cell(self):
-        d = abs_diffs(NeighborSet(10, 20, 30, 40, 0.5, 0.5))
-        assert d.b == 25.0
-        assert d.values() == (15.0, 5.0, 5.0, 15.0)
+        # b = 25, gaps (15, 5, 5, 15)
+        assert resample_bilinear(_cell(10, 20, 30, 40), 2).get(1, 1) == 25
+        assert _centered((10, 20, 30, 40)) == 20
 
     def test_constant_cell(self):
-        d = abs_diffs(NeighborSet(7, 7, 7, 7, 0.3, 0.9))
-        assert d.b == 7.0
-        assert d.values() == (0.0, 0.0, 0.0, 0.0)
+        img = _cell(7, 7, 7, 7)
+        assert np.all(resample_bilinear(img, 10).pixels == 7)
+        assert np.all(resample_nnv(img, 10).pixels == 7)
 
     def test_single_bright_corner(self):
-        d = abs_diffs(NeighborSet(0, 0, 0, 4, 0.5, 0.5))
-        assert d.b == 1.0
-        assert d.values() == (1.0, 1.0, 1.0, 3.0)
+        # b = 1, gaps (1, 1, 1, 3); the mode 0 wins anyway
+        assert resample_bilinear(_cell(0, 0, 0, 4), 2).get(1, 1) == 1
+        assert _centered((0, 0, 0, 4)) == 0
 
     def test_offsets_weight_the_estimate(self):
-        d = abs_diffs(NeighborSet(0, 100, 0, 100, 0.25, 0.5))
-        assert d.b == 25.0
-
-
-def _diffset(v1, v2, v3, v4, b=0.0):
-    return DiffSet(v1=v1, v2=v2, v3=v3, v4=v4, b=b)
+        img = _cell(0, 100, 0, 100)
+        assert resample_bilinear(img, 4).get(1, 2) == 25
+        out = resample_nnv(img, 4)
+        assert out.get(1, 2) == 0  # b = 25
+        assert out.get(3, 2) == 100  # b = 75
 
 
 class TestSelectNeighbor:
+    """Without a unique mode the first neighbor, in A/K/P/G order, at the
+    smallest gap wins."""
+
     def test_mode_equals_minimum(self):
-        assert select_neighbor(_diffset(0.2, 0.2, 0.2, 0.8)) == 1
+        # b = 15, all four gaps 5
+        assert _centered((10, 20, 20, 10)) == 10
 
     def test_mode_is_not_minimum(self):
-        assert select_neighbor(_diffset(0.2, 0.8, 0.8, 0.8)) == 1
+        # offset (1/2, 1/4): b = 20, gaps (0, 10, 10, 20)
+        assert resample_nnv(_cell(20, 10, 30, 40), 4).get(2, 1) == 20
 
     def test_tied_pairs_take_first_minimum(self):
-        assert select_neighbor(_diffset(0.2, 0.2, 0.8, 0.8)) == 1
+        # offset (1/2, 0): b = 25, gaps (5, 5, 15, 15)
+        assert resample_nnv(_cell(20, 30, 10, 40), 4).get(2, 0) == 20
 
     def test_first_minimum_not_in_front(self):
-        assert select_neighbor(_diffset(15.0, 5.0, 5.0, 15.0)) == 2
+        # b = 25, gaps (15, 5, 5, 15)
+        assert _centered((10, 20, 30, 40)) == 20
 
     def test_all_distinct(self):
-        assert select_neighbor(_diffset(3.0, 2.0, 0.5, 1.0)) == 3
+        # offset (1/4, 3/4): b = 27.5, gaps (17.5, 7.5, 2.5, 12.5)
+        assert resample_nnv(_cell(10, 20, 30, 40), 4).get(1, 3) == 30
 
     def test_dispatch_equals_first_argmin_exhaustively(self):
         # all 625 centered cells over a 5-value alphabet
         alphabet = (0, 64, 128, 192, 255)
         for cell in itertools.product(alphabet, repeat=4):
-            diffs = abs_diffs(NeighborSet(*cell, 0.5, 0.5))
-            assert select_neighbor(diffs) == oracle_first_argmin(diffs.values()) + 1, cell
+            if oracle_unique_mode(cell) is not None:
+                continue
+            mean = Fraction(sum(cell), 4)
+            expected = cell[oracle_first_argmin(abs(v - mean) for v in cell)]
+            assert _centered(cell) == expected, cell
 
 
 class TestNnvPixel:
     def test_mode_branch_skips_bilinear(self):
-        assert nnv_pixel(NeighborSet(5, 5, 7, 9, 0.9, 0.1)) == 5
+        # offset (9/10, 9/10): b = 8.42 is nearest 9, but the mode 5 wins
+        assert resample_bilinear(_cell(5, 5, 7, 9), 10).get(9, 9) == 8
+        assert resample_nnv(_cell(5, 5, 7, 9), 10).get(9, 9) == 5
 
     def test_all_distinct_follows_bilinear_guide(self):
-        assert nnv_pixel(NeighborSet(10, 20, 30, 40, 0.5, 0.5)) == 20
+        assert _centered((10, 20, 30, 40)) == 20
 
     def test_tied_pairs_fall_back_to_first_neighbor(self):
-        assert nnv_pixel(NeighborSet(10, 10, 20, 20, 0.5, 0.5)) == 10
+        assert _centered((10, 10, 20, 20)) == 10
 
     def test_result_is_always_a_neighbor_value(self, rng):
         for _ in range(200):
             cell = [int(v) for v in rng.integers(0, 256, size=4)]
-            dx, dy = rng.integers(0, 4, size=2) / 4
-            assert nnv_pixel(NeighborSet(*cell, dx, dy)) in cell
+            assert set(_fill(cell, 4)) <= set(cell)
 
     def test_exhaustive_against_oracle(self):
         alphabet = (0, 64, 128, 192, 255)
         for cell in itertools.product(alphabet, repeat=4):
-            got = nnv_pixel(NeighborSet(*cell, 0.5, 0.5))
-            assert got == oracle_nnv_centered(*cell), cell
+            assert _centered(cell) == oracle_nnv_centered(*cell), cell
 
     def test_mode_branch_dominates_any_offset(self, rng):
-        # three shared values win regardless of the cell offsets
+        # three shared values win at every offset of every ratio
         for _ in range(50):
             value, other = (int(v) for v in rng.integers(0, 256, size=2))
             if value == other:
                 continue
             cell = [value, value, value, other]
             rng.shuffle(cell)
-            dx, dy = rng.random(2)
-            assert nnv_pixel(NeighborSet(*cell, dx, dy)) == value
+            ratio = int(rng.integers(2, 13))
+            assert set(_fill(cell, ratio)) == {value}, (cell, ratio)
 
 
 class TestResampleNnv:
@@ -163,11 +185,9 @@ class TestResampleNnv:
     def test_no_new_values(self, rng):
         img = random_image(rng, 8, 8)
         for n in (2, 3, 4):
-            out = resample_nnv(img, n)
-            for y in range(out.height):
-                for x in range(out.width):
-                    cell = cell_at(img, x, y, n)
-                    assert out.get(x, y) in cell.values()
+            out = resample_nnv(img, n).pixels
+            a, k, p, g = cell_values(img, n)
+            assert np.all((out == a) | (out == k) | (out == p) | (out == g))
 
     def test_matches_per_pixel_reference(self, rng):
         for n in (1, 2, 3, 4, 5):

@@ -1,55 +1,55 @@
 """Coordinate mapping and the nearest/bilinear/bicubic upscalers."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from nnvresize import (
-    Image,
-    SourceLocus,
-    bilinear_at,
-    cubic_kernel,
-    map_coord,
-    map_locus,
-    resample_bicubic,
-    resample_bilinear,
-    resample_nn,
-)
+from nnvresize import Image, resample_bicubic, resample_bilinear, resample_nn, resample_nnv
+from nnvresize.resample import _cubic_weights
 
 from conftest import random_image
 from refimpl import exact_resample
 
 ALL_METHODS = (resample_nn, resample_bilinear, resample_bicubic)
 
+# bilinear on a ramp of slope 12 reads back the source position x / ratio
+RAMP = Image([[0, 12, 24, 36]])
+CELL = Image([[10, 20], [30, 40]])
+
 
 class TestMapCoord:
+    """Output index x maps to source position x / ratio, companions clamp
+    to the edge, and a ratio other than an integer >= 1 is refused; seen
+    through the resamplers' values."""
+
     def test_origin(self):
-        assert map_coord(0, 4) == (0, 0.0)
+        assert resample_bilinear(RAMP, 4).get(0, 0) == 0
 
     def test_exact_sample_site(self):
-        assert map_coord(4, 4) == (1, 0.0)
+        assert resample_bilinear(RAMP, 4).get(4, 0) == 12
 
     def test_halfway(self):
-        assert map_coord(3, 2) == (1, 0.5)
+        assert resample_bilinear(RAMP, 2).get(3, 0) == 18
 
     def test_thirds(self):
-        base, frac = map_coord(4, 3)
-        assert base == 1
-        assert frac == pytest.approx(1 / 3, abs=1e-15)
+        # 4 / 3 of the way along the ramp, exactly
+        assert resample_bilinear(RAMP, 3).get(4, 0) == 16
 
     def test_bad_ratio(self):
-        with pytest.raises(ValueError):
-            map_coord(0, 0)
+        for bad in (0, True):
+            with pytest.raises(ValueError, match="ratio"):
+                resample_nnv(Image([[1]]), bad)
 
     def test_locus_clamps_companion(self):
-        locus = map_locus(2, 2, 3, 0, 2)
-        assert (locus.x0, locus.x1) == (1, 1)  # right edge: companion clamps
-        assert (locus.y0, locus.y1) == (0, 1)  # interior row: no clamp
-        assert locus.dx == 0.5
+        out = resample_bilinear(CELL, 2)
+        assert out.get(3, 0) == 20  # right edge: companion clamps
+        assert out.get(3, 1) == 30  # interior row: no clamp
 
     def test_locus_clamps_single_row(self):
-        locus = map_locus(2, 1, 1, 0, 2)
-        assert (locus.y0, locus.y1) == (0, 0)
-        assert (locus.x0, locus.x1) == (0, 1)
+        out = resample_bilinear(Image([[10, 20]]), 2)
+        assert out.pixels.tolist() == [[10, 15, 20, 20]] * 2
 
 
 class TestNearest:
@@ -78,19 +78,16 @@ class TestNearest:
 
 
 class TestBilinearAt:
-    IMG = Image([[10, 20], [30, 40]])
+    OUT = resample_bilinear(CELL, 4)
 
     def test_center_is_plain_average(self):
-        locus = SourceLocus(0, 0, 1, 1, 0.5, 0.5)
-        assert bilinear_at(self.IMG, locus) == 25.0
+        assert self.OUT.get(2, 2) == 25
 
     def test_grid_point_is_exact(self):
-        locus = SourceLocus(0, 0, 1, 1, 0.0, 0.0)
-        assert bilinear_at(self.IMG, locus) == 10.0
+        assert self.OUT.get(0, 0) == 10
 
     def test_quarter_offset(self):
-        locus = SourceLocus(0, 0, 1, 1, 0.25, 0.0)
-        assert bilinear_at(self.IMG, locus) == 12.5
+        assert self.OUT.get(1, 0) == 13  # 12.5 rounds half up
 
 
 class TestBilinearResample:
@@ -109,12 +106,12 @@ class TestBilinearResample:
         width = height = 4
         img = Image([[x for x in range(width)] for _ in range(height)])
         n = 2
+        out = resample_bilinear(img, n)
         for y in range(height * n):
             for x in range(width * n):
-                locus = map_locus(width, height, x, y, n)
-                if locus.x1 != locus.x0 + 1 or locus.y1 != locus.y0 + 1:
-                    continue
-                assert bilinear_at(img, locus) == pytest.approx(x / n, abs=1e-9)
+                if x // n == width - 1 or y // n == height - 1:
+                    continue  # clamped support
+                assert out.get(x, y) == math.floor(Fraction(x, n) + Fraction(1, 2)), (x, y)
 
     def test_matches_reference(self, rng):
         for n in (1, 2, 3, 4):
@@ -123,34 +120,39 @@ class TestBilinearResample:
 
 
 class TestCubicKernel:
+    """Keys cubic convolution (a = -1/2) as the integer tap weights the
+    bicubic resampler uses: row i weighs taps -1..2 at offset i/r over 2r^3."""
+
+    RATIOS = range(1, 13)
+
     def test_center(self):
-        assert cubic_kernel(0.0) == 1.0
+        for r in self.RATIOS:
+            assert _cubic_weights(r)[0, 1] == 2 * r**3
 
     def test_zero_at_integer_taps(self):
-        assert cubic_kernel(1.0) == 0.0
-        assert cubic_kernel(2.0) == 0.0
-        assert cubic_kernel(-1.0) == 0.0
+        for r in self.RATIOS:
+            assert _cubic_weights(r)[0, [0, 2, 3]].tolist() == [0, 0, 0]
 
     def test_half_tap(self):
-        assert cubic_kernel(0.5) == 0.5625
+        # 9/16 = 0.5625 on the near taps, -1/16 on the far ones
+        assert _cubic_weights(2)[1].tolist() == [-1, 9, 9, -1]
 
     def test_even_symmetry(self):
-        for t in (0.1, 0.75, 1.3, 1.9):
-            assert cubic_kernel(-t) == cubic_kernel(t)
+        for r in self.RATIOS:
+            weights = _cubic_weights(r)
+            for i in range(1, r):
+                assert weights[i, ::-1].tolist() == weights[r - i].tolist()
 
     def test_outside_support(self):
-        assert cubic_kernel(2.5) == 0.0
-        assert cubic_kernel(-3.0) == 0.0
+        # a pixel three taps past a cell's base never reaches that cell
+        flat = resample_bicubic(Image([[100] * 6]), 3).pixels
+        bumped = resample_bicubic(Image([[100] * 5 + [200]]), 3).pixels
+        assert np.array_equal(flat[:, :9], bumped[:, :9])
+        assert not np.array_equal(flat[:, 9:12], bumped[:, 9:12])
 
     def test_partition_of_unity(self):
-        for t in np.linspace(0.0, 1.0, 1000, endpoint=False):
-            total = (
-                cubic_kernel(-1.0 - t)
-                + cubic_kernel(-t)
-                + cubic_kernel(1.0 - t)
-                + cubic_kernel(2.0 - t)
-            )
-            assert abs(total - 1.0) <= 1e-12
+        for r in self.RATIOS:
+            assert _cubic_weights(r).sum(axis=1).tolist() == [2 * r**3] * r
 
 
 class TestBicubicResample:
@@ -200,5 +202,6 @@ class TestSharedProperties:
 
     @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda f: f.__name__)
     def test_bad_ratio_rejected(self, method):
-        with pytest.raises(ValueError):
-            method(Image([[1]]), 0)
+        for bad in (0, True):
+            with pytest.raises(ValueError):
+                method(Image([[1]]), bad)
