@@ -13,6 +13,11 @@ class PgmError(ValueError):
     """Raised for malformed or unsupported PGM data."""
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers, False for bool and everything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class Image:
     """Immutable grayscale raster with an explicit intensity ceiling.
 
@@ -30,8 +35,9 @@ class Image:
             raise ValueError("image must have at least one pixel")
         if not np.issubdtype(arr.dtype, np.integer):
             raise TypeError(f"pixel values must be integers, got dtype {arr.dtype}")
-        if not isinstance(max_value, int) or not 1 <= max_value <= 255:
+        if not _is_integer(max_value) or not 1 <= max_value <= 255:
             raise ValueError(f"max_value must be an integer in [1, 255], got {max_value!r}")
+        max_value = int(max_value)
         lo, hi = int(arr.min()), int(arr.max())
         if lo < 0 or hi > max_value:
             raise ValueError(f"pixel values [{lo}, {hi}] fall outside [0, {max_value}]")
@@ -184,9 +190,11 @@ def write_pgm(path: str | os.PathLike, img: Image) -> None:
         fh.write(save_pgm(img))
 
 
-def _check_ratio(ratio) -> None:
-    if not isinstance(ratio, int) or isinstance(ratio, bool) or ratio < 1:
+def _check_ratio(ratio) -> int:
+    """The ratio as a Python int; ValueError unless it is an integer >= 1."""
+    if not _is_integer(ratio) or ratio < 1:
         raise ValueError(f"ratio must be an integer >= 1, got {ratio!r}")
+    return int(ratio)
 
 
 def block_downsample(img: Image, ratio: int) -> Image:
@@ -195,7 +203,7 @@ def block_downsample(img: Image, ratio: int) -> Image:
     Block means are rounded half up. Width and height must be divisible
     by the ratio.
     """
-    _check_ratio(ratio)
+    ratio = _check_ratio(ratio)
     if img.width % ratio or img.height % ratio:
         raise ValueError(
             f"dimensions {img.width}x{img.height} not divisible by ratio {ratio}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .image import Image, _check_ratio
-from .resample import _bilinear_weights, _int_dtype, _interleave, _pad_edges
+from .resample import _int_dtype, _interleave, _pad_edges
 
 
 def resample_nnv(img: Image, ratio: int) -> Image:
@@ -19,63 +19,59 @@ def resample_nnv(img: Image, ratio: int) -> Image:
     every other location with its cell's unique mode, else with the
     neighbor closest to the bilinear value, in exact integer arithmetic.
 
-    The mode census depends only on the 2x2 cell, so it runs once per
-    source cell. The bilinear fallback runs only on cells without a
-    unique mode: at offset (i/ratio, j/ratio) the bilinear value is
-    N / ratio**2 with integer N, so the gaps |ratio**2 * v - N| compare
-    exactly and the first minimum in A/K/P/G order (top-left, top-right,
-    bottom-left, bottom-right) wins.
+    Each 2x2 cell is sorted once, at source resolution. Its four keys are
+    value * 4 + the first position in A/K/P/G order (top-left, top-right,
+    bottom-left, bottom-right) holding that value, so equal values share a
+    key and the mode census reads off equal neighbors in sorted order. A
+    mode cell takes the mode as all four sorted values. At offset
+    (i/ratio, j/ratio) the bilinear value is N / ratio**2 with integer N,
+    and the nearest sorted value is the one past as many of the three
+    midpoints ratio**2 * (v_n + v_n+1) / 2 as 2N exceeds. A midpoint tie
+    goes to the value whose first position is lower. The thresholds never
+    decrease, so the passed ones always form a prefix. Each column phase
+    of the output then costs one multiply-add and three comparisons.
     """
-    _check_ratio(ratio)
-    h, w = img.height, img.width
+    ratio = _check_ratio(ratio)
     src = _pad_edges(img.pixels, 0, 1)
     a, k, p, g = src[:-1, :-1], src[:-1, 1:], src[1:, :-1], src[1:, 1:]
 
-    # per-cell frequency of each neighbor's value (counting itself)
-    count_a = 1 + (a == k) + (a == p) + (a == g)
-    count_k = 1 + (k == a) + (k == p) + (k == g)
-    count_p = 1 + (p == a) + (p == k) + (p == g)
-    count_g = 1 + (g == a) + (g == k) + (g == p)
-    top = np.maximum(np.maximum(count_a, count_k), np.maximum(count_p, count_g))
-    # frequency 2 is a mode only for the (2,1,1) pattern: exactly one
-    # doubled value, i.e. exactly two positions at count 2
-    doubled = (count_a == 2).astype(np.int8) + (count_k == 2) + (count_p == 2) + (count_g == 2)
-    has_mode = (top >= 3) | ((top == 2) & (doubled == 2))
-    mode_value = np.where(
-        count_a == top, a, np.where(count_k == top, k, np.where(count_p == top, p, g))
-    ).reshape(h * w)
+    cells = [v.astype(np.uint16) for v in (a, k, p, g)]
+    keys = []
+    for n, v in enumerate(cells):
+        key = 4 * v + n
+        for m in range(n):
+            key = np.where(cells[m] == v, keys[m], key)
+        keys.append(key)
+    # five compare-exchanges sort four keys: s0 <= s1 <= s2 <= s3
+    for lo, hi in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
+        keys[lo], keys[hi] = np.minimum(keys[lo], keys[hi]), np.maximum(keys[lo], keys[hi])
+    s0, s1, s2, s3 = keys
+    e1, e2, e3 = s0 == s1, s1 == s2, s2 == s3
+    # a unique mode: pattern 2+1+1 (one equal pair), 3+1 or 4
+    has_mode = (e1.astype(np.int8) + e2 + e3 == 1) | (e2 & (e1 | e3))
+    mode = np.where(e1 | e2, s1, s2)
+    keys = [np.where(has_mode, mode, key) for key in keys]
 
-    # The cells without a unique mode, compacted to (1, m) rows. Each
-    # neighbor's key is gap * 1024 + position * 256 + value, so the
-    # smallest key is the first neighbor at the smallest gap and its low
-    # byte is that neighbor's value.
-    rest = np.flatnonzero(~has_mode)
-    dtype = _int_dtype(1024 * (ratio * ratio * img.max_value + 1))
-    cells = [v.reshape(1, -1)[:, rest].astype(dtype) for v in (a, k, p, g)]
-    weights = 1024 * _bilinear_weights(ratio).astype(dtype)[:, :, None]
-    # 1024 * horizontal bilinear numerators of the top and bottom rows,
-    # (ratio, m): one row per column phase
-    upper = weights[:, 0] * cells[0] + weights[:, 1] * cells[1]
-    lower = weights[:, 0] * cells[2] + weights[:, 1] * cells[3]
-    scaled = [1024 * ratio * ratio * v for v in cells]
-    tags = [256 * position + v for position, v in enumerate(cells)]
+    dtype = _int_dtype(2 * ratio * ratio * img.max_value + 1)
+    values = [(key >> 2).astype(np.uint8) for key in keys]
+    steps = [hi - lo for lo, hi in zip(values, values[1:])]
+    thresholds = [
+        ratio * ratio * (lo.astype(dtype) + hi) - ((keys[n + 1] & 3) < (keys[n] & 3))
+        for n, (lo, hi) in enumerate(zip(values, values[1:]))
+    ]
+    # 2N at phase (j, i) is (ratio - i) * left[j] + i * right[j]
+    j = np.arange(ratio, dtype=dtype)[:, None, None]
+    left = 2 * ((ratio - j) * a.astype(dtype) + j * p)
+    right = 2 * ((ratio - j) * k.astype(dtype) + j * g)
 
-    def row_phase(j: int) -> np.ndarray:
-        planes = np.empty((ratio, h * w), dtype=np.uint8)
-        planes[:] = mode_value
-        num = (ratio - j) * upper
-        num += j * lower
-        key = None
-        for s, tag in zip(scaled, tags):
-            gap = s - num
-            np.abs(gap, out=gap)
-            gap += tag
-            key = gap if key is None else np.minimum(key, gap, out=key)
-        key &= 255
-        planes[:, rest] = key
-        planes = planes.reshape(ratio, h, w)
-        if j == 0:
+    def col_phase(i: int) -> np.ndarray:
+        twice_n = (ratio - i) * left
+        twice_n += i * right
+        planes = values[0] + (twice_n > thresholds[0]) * steps[0]
+        for t, step in zip(thresholds[1:], steps[1:]):
+            planes += (twice_n > t) * step
+        if i == 0:
             planes[0] = img.pixels
         return planes
 
-    return _interleave(img, ratio, row_phase)
+    return _interleave(img, ratio, col_phase)

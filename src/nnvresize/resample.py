@@ -8,9 +8,9 @@ Quantization is round half up, then clamp to [0, max_value].
 At an integer ratio r every sub-pixel offset is i/r, so output pixel
 (y*r + j, x*r + i) is a fixed kernel applied at phase (j, i) to the
 edge-padded source around (y, x). The resamplers compute the r phase
-planes of one row phase j at a time from shifted views of that source,
-weigh taps with integers over a power of r so that every value is exact
-at every ratio, and write plane (j, i) into out[j::r, i::r].
+planes of one column phase i at a time from shifted views of that
+source, weigh taps with integers over a power of r so that every value
+is exact at every ratio, and write plane (j, i) into out[j::r, i::r].
 """
 
 from __future__ import annotations
@@ -27,17 +27,18 @@ def _pad_edges(pixels: np.ndarray, before: int, after: int) -> np.ndarray:
     return np.pad(pixels, ((before, after), (before, after)), mode="edge")
 
 
-def _interleave(img: Image, ratio: int, row_phase: Callable[[int], np.ndarray]) -> Image:
+def _interleave(img: Image, ratio: int, col_phase: Callable[[int], np.ndarray]) -> Image:
     """Assemble the output from its ratio**2 phase planes.
 
-    ``row_phase(j)`` returns a (ratio, h, w) array whose [i, y, x] entry
+    ``col_phase(i)`` returns a (ratio, h, w) array whose [j, y, x] entry
     is output pixel (y*ratio + j, x*ratio + i).
     """
     h, w = img.height, img.width
     out = np.empty((h, ratio, w, ratio), dtype=np.uint8)
-    for j in range(ratio):
-        # one copy per row phase keeps the Python-level loop O(ratio)
-        out[:, j] = row_phase(j).transpose(1, 2, 0)
+    for i in range(ratio):
+        # one copy per column phase keeps the Python-level loop O(ratio)
+        # and the copy's inner loop running along x, not over the phases
+        out[:, :, :, i] = col_phase(i).transpose(1, 0, 2)
     return Image(out.reshape(h * ratio, w * ratio), img.max_value)
 
 
@@ -93,7 +94,7 @@ def _separable(img: Image, ratio: int, weights: np.ndarray, before: int) -> Imag
 
     At offset i/ratio, ``weights[i, t]`` weighs the source pixel
     ``base + t - before``; every row sums to the same per-axis
-    denominator d. A horizontal pass, then a vertical one, gives the
+    denominator d. A vertical pass, then a horizontal one, gives the
     numerator N over d*d, quantized exactly as floor(N/(d*d) + 1/2) and
     clamped to [0, max_value].
     """
@@ -104,36 +105,36 @@ def _separable(img: Image, ratio: int, weights: np.ndarray, before: int) -> Imag
     dtype = _int_dtype(2 * reach * reach * img.max_value + denom)
     weights = weights.astype(dtype)
     src = _pad_edges(img.pixels, before, taps - 1 - before).astype(dtype)
-    # mid[i]: horizontal numerators at column phase i, on the padded rows
-    mid = np.stack([_weighted_sum(row, [src[:, t : t + w] for t in range(taps)]) for row in weights])
+    # mid[j]: vertical numerators at row phase j, on the padded columns
+    mid = np.stack([_weighted_sum(row, [src[t : t + h] for t in range(taps)]) for row in weights])
 
-    def row_phase(j: int) -> np.ndarray:
-        num = _weighted_sum(weights[j], [mid[:, t : t + h] for t in range(taps)])
+    def col_phase(i: int) -> np.ndarray:
+        num = _weighted_sum(weights[i], [mid[:, :, t : t + w] for t in range(taps)])
         num *= 2
         num += denom
         num //= 2 * denom
         return np.clip(num, 0, img.max_value, out=num)
 
-    return _interleave(img, ratio, row_phase)
+    return _interleave(img, ratio, col_phase)
 
 
 def resample_nn(img: Image, ratio: int) -> Image:
     """Upscale by copying the nearest source pixel (ties go to the lower index)."""
-    _check_ratio(ratio)
+    ratio = _check_ratio(ratio)
     h, w = img.height, img.width
     src = _pad_edges(img.pixels, 0, 1)
-    # offset i/ratio moves to the next source pixel only past one half
-    planes = np.stack([src[:, int(2 * i > ratio) :][:, :w] for i in range(ratio)])
-    return _interleave(img, ratio, lambda j: planes[:, int(2 * j > ratio) :][:, :h])
+    # offset j/ratio moves to the next source pixel only past one half
+    rows = np.stack([src[int(2 * j > ratio) :][:h] for j in range(ratio)])
+    return _interleave(img, ratio, lambda i: rows[:, :, int(2 * i > ratio) :][:, :, :w])
 
 
 def resample_bilinear(img: Image, ratio: int) -> Image:
     """Upscale with bilinear interpolation over clamped 2x2 cells."""
-    _check_ratio(ratio)
+    ratio = _check_ratio(ratio)
     return _separable(img, ratio, _bilinear_weights(ratio), 0)
 
 
 def resample_bicubic(img: Image, ratio: int) -> Image:
     """Upscale with separable 4x4 cubic convolution, edge taps clamped."""
-    _check_ratio(ratio)
+    ratio = _check_ratio(ratio)
     return _separable(img, ratio, _cubic_weights(ratio), 1)

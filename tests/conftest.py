@@ -53,10 +53,9 @@ def available_standard_originals():
 def timing_image():
     """(label, 512x512 Image) for wall-clock measurements.
 
-    Timing depends on pixel content for nnv: its bilinear fallback runs
-    only on 2x2 cells without a unique mode, so flat or posterized content
-    is cheaper than a photograph or noise. nn, bilinear and bicubic do the
-    same work on any content of a given size.
+    All four resamplers do the same work on any content of a given size:
+    nnv sorts every 2x2 cell and compares every output pixel against its
+    cell's midpoint thresholds, mode cell or not.
     """
     try:
         from skimage import data

@@ -219,10 +219,9 @@ def test_criterion_7_nnv_psnr_beats_nn_and_bilinear(standard_originals):
 
 
 def test_criterion_8_nnv_slower_than_nn(standard_originals):
-    # nnv's wall time depends on content: its bilinear fallback runs only
-    # on cells without a unique mode. When the standard originals are
-    # unavailable the protocol runs on a labeled 512x512 stand-in raster
-    # with photographic content, where most cells take that fallback.
+    # nnv does the same work on any content of a given size. When the
+    # standard originals are unavailable the protocol runs on a labeled
+    # 512x512 stand-in raster with photographic content.
     subjects = standard_originals or [timing_image()]
     ordering_ok = True
     details = []

@@ -28,6 +28,12 @@ class TestImage:
         with pytest.raises(ValueError):
             Image([[101]], max_value=100)
 
+    @pytest.mark.parametrize("bad", [0, 256, True, 255.0])
+    def test_bad_max_value_rejected(self, bad):
+        # True would be written as a "True" header no PGM reader accepts
+        with pytest.raises(ValueError, match="max_value"):
+            Image([[1, 0]], max_value=bad)
+
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError):
             Image(np.array([[-1]]))
@@ -113,9 +119,10 @@ class TestSavePgm:
         img = random_image(rng, 16, 16)
         assert load_pgm(save_pgm(img)) == img
 
-    @pytest.mark.parametrize("maxval", [1, 100, 255])
+    @pytest.mark.parametrize("maxval", [1, 100, 255, np.uint8(255)])
     def test_round_trip_preserves_maxval(self, rng, maxval):
-        img = random_image(rng, 5, 3, max_value=maxval)
+        img = Image(rng.integers(0, int(maxval) + 1, size=(3, 5)), maxval)
+        assert type(img.max_value) is int
         again = load_pgm(save_pgm(img))
         assert again == img
         assert again.max_value == maxval
@@ -153,6 +160,9 @@ class TestBlockDownsample:
         for bad in (0, True):
             with pytest.raises(ValueError, match="ratio"):
                 block_downsample(Image([[1]]), bad)
+        # a numpy integer is a valid ratio
+        img = Image([[10, 20], [30, 40]])
+        assert block_downsample(img, np.int64(2)) == block_downsample(img, 2)
 
     def test_output_within_block_range(self, rng):
         img = random_image(rng, 12, 12)

@@ -9,6 +9,7 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from nnvresize import Image, resample_bilinear, resample_nnv
 
@@ -124,6 +125,17 @@ class TestSelectNeighbor:
             mean = Fraction(sum(cell), 4)
             expected = cell[oracle_first_argmin(abs(v - mean) for v in cell)]
             assert _centered(cell) == expected, cell
+
+    @pytest.mark.parametrize("ratio", [5, 6])
+    def test_midpoint_ties_exhaustively(self, ratio):
+        # every 4-level 2x2 image without a unique mode: 24 with distinct
+        # values and 36 with two pairs, some of whose higher value holds
+        # position 0, at ratios with many midpoint ties
+        cells = [c for c in itertools.product(range(4), repeat=4) if oracle_unique_mode(c) is None]
+        assert len(cells) == 60
+        for a, k, p, g in cells:
+            img = Image([[a, k], [p, g]], 3)
+            assert resample_nnv(img, ratio) == exact_resample("nnv", img, ratio), (a, k, p, g)
 
 
 class TestNnvPixel:
