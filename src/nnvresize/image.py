@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+_DIGITS = b"0123456789"
+# a comment runs from '#' to the end of its line and ends any token it touches
+_COMMENT = re.compile(rb"#[^\r\n]*")
+# whitespace and comments, then the token they precede (empty at the end)
+_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]+|" + _COMMENT.pattern + rb")*([^ \t\n\r\x0b\x0c#]*)")
+# what int() accepts in a token: optional sign, digits, single underscores
+_SAMPLE = re.compile(rb"[+-]?[0-9](?:_?[0-9])*")
 
 
 class PgmError(ValueError):
@@ -90,30 +98,11 @@ class Image:
         return f"Image({self.width}x{self.height}, max_value={self._max_value})"
 
 
-def _skip_space_and_comments(data: bytes, pos: int) -> int:
-    """Advance past whitespace and '#'-to-end-of-line comments."""
-    n = len(data)
-    while pos < n:
-        byte = data[pos : pos + 1]
-        if byte in _WHITESPACE:
-            pos += 1
-        elif byte == b"#":
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        else:
-            break
-    return pos
-
-
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    pos = _skip_space_and_comments(data, pos)
-    start = pos
-    n = len(data)
-    while pos < n and data[pos : pos + 1] not in _WHITESPACE and data[pos : pos + 1] != b"#":
-        pos += 1
-    if start == pos:
+    match = _TOKEN.match(data, pos)
+    if not match.group(1):
         raise PgmError("truncated header: expected another token")
-    return data[start:pos], pos
+    return match.group(1), match.end()
 
 
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
@@ -124,14 +113,43 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
         raise PgmError(f"malformed header: {what} is not a number: {token!r}") from None
 
 
+def _p2_samples(body: bytes, count: int) -> np.ndarray:
+    """The first ``count`` samples of a P2 raster as int64, or PgmError.
+
+    Samples are whitespace-separated tokens that int() accepts; a comment
+    ends a token, and whatever follows the last sample is ignored. An
+    integer beyond int64 reads as the int64 maximum, which no maxval admits.
+    """
+    if b"#" in body:
+        body = _COMMENT.sub(b" ", body)
+    if not body.translate(None, _DIGITS + _WHITESPACE):
+        # digits and whitespace only: one C-level pass; np.fromstring reads a
+        # blank body as [0] and must never get count=, which over-reads
+        if body.isspace():
+            return np.empty(0, dtype=np.int64)
+        return np.fromstring(body, dtype=np.int64, sep=" ")[:count]
+    # maxsplit is capped because a huge header makes count exceed sys.maxsize
+    tokens = body.split(None, min(count, len(body)))[:count]
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        for token in tokens:
+            if not _SAMPLE.fullmatch(token):
+                raise PgmError(f"malformed sample: {token!r}") from None
+    # every token is an integer, so some fall outside int64
+    return np.full(len(tokens), np.iinfo(np.int64).max)
+
+
 def load_pgm(data: bytes) -> Image:
     """Decode a binary (P5) or ASCII (P2) PGM byte sequence.
 
-    Header comments are tolerated. Color formats (P6/P3) and maxval > 255
+    Comments ('#' to the end of the line) may stand anywhere in the header
+    and, in P2, between samples. Color formats (P6/P3) and maxval > 255
     are rejected.
     """
+    data = bytes(data)
     try:
-        magic, pos = _next_token(bytes(data), 0)
+        magic, pos = _next_token(data, 0)
     except PgmError:
         raise PgmError("empty or unreadable PGM data") from None
     if magic in (b"P6", b"P3"):
@@ -157,17 +175,10 @@ def load_pgm(data: bytes) -> Image:
             raise PgmError(f"truncated pixel data: expected {count} bytes, got {len(raster)}")
         arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
     else:
-        values = []
-        for _ in range(count):
-            pos = _skip_space_and_comments(data, pos)
-            if pos >= len(data):
-                raise PgmError(f"truncated pixel data: expected {count} samples, got {len(values)}")
-            token, pos = _next_token(data, pos)
-            try:
-                values.append(int(token))
-            except ValueError:
-                raise PgmError(f"malformed sample: {token!r}") from None
-        arr = np.asarray(values, dtype=np.int64).reshape(height, width)
+        samples = _p2_samples(data[pos:], count)
+        if len(samples) < count:
+            raise PgmError(f"truncated pixel data: expected {count} samples, got {len(samples)}")
+        arr = samples.reshape(height, width)
 
     if int(arr.max()) > maxval or int(arr.min()) < 0:
         raise PgmError(f"sample value outside [0, {maxval}]")
@@ -177,7 +188,7 @@ def load_pgm(data: bytes) -> Image:
 def save_pgm(img: Image) -> bytes:
     """Encode an image as binary P5; load_pgm(save_pgm(img)) == img."""
     header = f"P5\n{img.width} {img.height}\n{img.max_value}\n".encode("ascii")
-    return header + img.pixels.tobytes()
+    return header + img.pixels.data
 
 
 def read_pgm(path: str | os.PathLike) -> Image:

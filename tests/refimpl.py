@@ -5,8 +5,9 @@ fractions.Fraction, one output pixel at a time, and share no code with
 the package: output index X maps to source position X / ratio exactly,
 companions and taps clamp to the edge, quantization is floor(v + 1/2)
 clamped to [0, max_value]. They pin the vectorized resamplers pixel for
-pixel at every integer ratio. The oracles at the bottom share no code
-with the library's selection logic either.
+pixel at every integer ratio. The oracles below them share no code
+with the library's selection logic either, and oracle_load_pgm decodes
+PGM one token at a time, sharing no parsing code with the package.
 """
 
 import math
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from nnvresize import Image
+from nnvresize import Image, PgmError
 
 HALF = Fraction(1, 2)
 CUBIC_A = Fraction(-1, 2)
@@ -142,3 +143,93 @@ def oracle_nnv_centered(a: int, k: int, p: int, g: int) -> int:
     mean = (a + k + p + g) / 4.0
     gaps = [abs(a - mean), abs(k - mean), abs(p - mean), abs(g - mean)]
     return (a, k, p, g)[oracle_first_argmin(gaps)]
+
+
+# --- PGM decoding oracle ---------------------------------------------------
+
+_PGM_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+def _oracle_skip(data: bytes, pos: int) -> int:
+    """Advance past whitespace and '#'-to-end-of-line comments."""
+    n = len(data)
+    while pos < n:
+        byte = data[pos : pos + 1]
+        if byte in _PGM_WHITESPACE:
+            pos += 1
+        elif byte == b"#":
+            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+        else:
+            break
+    return pos
+
+
+def _oracle_token(data: bytes, pos: int):
+    pos = _oracle_skip(data, pos)
+    start = pos
+    n = len(data)
+    while pos < n and data[pos : pos + 1] not in _PGM_WHITESPACE and data[pos : pos + 1] != b"#":
+        pos += 1
+    if start == pos:
+        raise PgmError("truncated header: expected another token")
+    return data[start:pos], pos
+
+
+def _oracle_header_int(data: bytes, pos: int, what: str):
+    token, pos = _oracle_token(data, pos)
+    try:
+        return int(token), pos
+    except ValueError:
+        raise PgmError(f"malformed header: {what} is not a number: {token!r}") from None
+
+
+def oracle_load_pgm(data: bytes) -> Image:
+    """Byte-at-a-time PGM decoder: the README grammar, one token per step.
+
+    A P2 sample that is an integer beyond int64 escapes as OverflowError
+    (the package reports it as a sample outside [0, maxval]).
+    """
+    data = bytes(data)
+    try:
+        magic, pos = _oracle_token(data, 0)
+    except PgmError:
+        raise PgmError("empty or unreadable PGM data") from None
+    if magic in (b"P6", b"P3"):
+        raise PgmError(f"unsupported color PPM format {magic.decode('ascii')}")
+    if magic not in (b"P5", b"P2"):
+        raise PgmError(f"bad magic number {magic[:8]!r}: not a PGM file")
+
+    width, pos = _oracle_header_int(data, pos, "width")
+    height, pos = _oracle_header_int(data, pos, "height")
+    if width < 1 or height < 1:
+        raise PgmError(f"dimensions out of range: {width}x{height}")
+    maxval, pos = _oracle_header_int(data, pos, "maxval")
+    if maxval < 1 or maxval > 255:
+        raise PgmError(f"maxval out of range (want 1..255): {maxval}")
+
+    count = width * height
+    if magic == b"P5":
+        # exactly one whitespace byte separates maxval from the raster
+        if data[pos : pos + 1] not in _PGM_WHITESPACE:
+            raise PgmError("malformed header: missing whitespace before raster")
+        raster = data[pos + 1 : pos + 1 + count]
+        if len(raster) < count:
+            raise PgmError(f"truncated pixel data: expected {count} bytes, got {len(raster)}")
+        values = list(raster)
+    else:
+        values = []
+        for _ in range(count):
+            pos = _oracle_skip(data, pos)
+            if pos >= len(data):
+                raise PgmError(f"truncated pixel data: expected {count} samples, got {len(values)}")
+            token, pos = _oracle_token(data, pos)
+            try:
+                values.append(int(token))
+            except ValueError:
+                raise PgmError(f"malformed sample: {token!r}") from None
+        np.asarray(values, dtype=np.int64)  # OverflowError beyond int64
+
+    if max(values) > maxval or min(values) < 0:
+        raise PgmError(f"sample value outside [0, {maxval}]")
+    return Image(np.array(values, dtype=np.uint8).reshape(height, width), maxval)

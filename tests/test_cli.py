@@ -53,6 +53,16 @@ class TestScale:
         assert code == 1
         assert "truncated" in capsys.readouterr().err
 
+    def test_overflowing_p2_sample_fails_cleanly(self, tmp_path, capsys):
+        bad = tmp_path / "big.pgm"
+        bad.write_bytes(b"P2 1 1 255 99999999999999999999")
+        code = main(["scale", str(bad), str(tmp_path / "out.pgm")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.pgm").exists()
+
 
 class TestMetrics:
     def test_identical_files(self, tmp_path, source_pgm, capsys):

@@ -1,5 +1,7 @@
 """Image container, PGM codec, and block downsampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,33 @@ class TestLoadPgm:
         img = load_pgm(b"P5\n1 1\n255\n\x07\n")
         assert img.get(0, 0) == 7
 
+    def test_overflowing_p2_sample_is_pgm_error(self):
+        # beyond int64 it once escaped as OverflowError, past the CLI's handler
+        with pytest.raises(PgmError, match=r"sample value outside \[0, 255\]"):
+            load_pgm(b"P2 1 1 255 99999999999999999999")
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"P5\n# ends in CR\r2 1\n255\n",
+            b"P5 2#glued\r1\n255\n",
+            b"P5 #" + b"x" * (1 << 20) + b"\n2 1\n255\n",
+        ],
+        ids=["cr", "glued-cr", "1MiB"],
+    )
+    def test_p5_header_comments_give_same_image(self, header):
+        # a comment ends at CR as well as at LF, and a 1 MiB one decodes in one regex match
+        assert load_pgm(header + bytes([9, 8])) == load_pgm(b"P5 2 1 255\n" + bytes([9, 8]))
+
+    @pytest.mark.parametrize("comment", [b"# at EOF", b"#" + b"x" * (1 << 20)], ids=["short", "1MiB"])
+    def test_p2_comment_at_eof_gives_same_image(self, comment):
+        assert load_pgm(b"P2 2 1 255\n9 8" + comment) == load_pgm(b"P2 2 1 255\n9 8")
+        assert load_pgm(b"P2 2 1 255\n9" + comment + b"\r8") == load_pgm(b"P2 2 1 255\n9 8")
+
+    def test_header_comment_at_eof_is_truncated_header(self):
+        with pytest.raises(PgmError, match="truncated header"):
+            load_pgm(b"P5 2 1 # no maxval")
+
 
 class TestSavePgm:
     def test_single_pixel_layout(self):
@@ -126,6 +155,17 @@ class TestSavePgm:
         again = load_pgm(save_pgm(img))
         assert again == img
         assert again.max_value == maxval
+
+    def test_peak_memory_is_one_copy(self, rng):
+        # the header is joined to the pixel buffer, not to a copy of it
+        img = random_image(rng, 512, 512)
+        tracemalloc.start()
+        try:
+            data = save_pgm(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * len(data), peak / len(data)
 
     def test_p2_reads_back_as_identical_p5(self):
         p2 = b"P2\n3 1\n255\n5 6 7\n"
