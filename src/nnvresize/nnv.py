@@ -10,8 +10,67 @@ from __future__ import annotations
 
 import numpy as np
 
-from .image import Image, _check_ratio
-from .resample import _int_dtype, _interleave, _pad_edges
+from .image import Image
+from .resample import BandKernel, _banded, _int_dtype
+
+
+def _nnv(ratio: int, max_value: int, w: int) -> BandKernel:
+    """Band kernel of NNV over the source padded by one row and column
+    after it."""
+    dtype = _int_dtype(2 * ratio * ratio * max_value + 1)
+    unreachable = np.iinfo(dtype).max
+    j = np.arange(ratio, dtype=dtype)[:, None, None]
+
+    def band_kernel(band: np.ndarray):
+        a, k, p, g = band[:-1, :-1], band[:-1, 1:], band[1:, :-1], band[1:, 1:]
+        # value * 4 + position in A/K/P/G order: equal values sort by position;
+        # the product's type is named, as NumPy 1.x would keep uint8 * 4 in
+        # uint8 and wrap the keys
+        keys = [np.multiply(v, 4, dtype=np.uint16) + n for n, v in enumerate((a, k, p, g))]
+        # five compare-exchanges sort four keys: s0 <= s1 <= s2 <= s3
+        for lo, hi in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
+            keys[lo], keys[hi] = np.minimum(keys[lo], keys[hi]), np.maximum(keys[lo], keys[hi])
+        values = [(key >> 2).astype(np.uint8) for key in keys]
+        e1, e2, e3 = (lo == hi for lo, hi in zip(values, values[1:]))
+        # only patterns 1+1+1+1 and 2+2 lack a unique mode
+        has_mode = e2 | (e1 != e3)
+        base = np.where(has_mode, np.where(e1 | e2, values[1], values[2]), values[0])
+        steps = [hi - lo for lo, hi in zip(values, values[1:])]
+        # a midpoint tie goes up when the upper value's first position is
+        # the lower one: s_n+1 holds the upper value's, and s_n the lower
+        # value's, except that s0 holds it in the middle of a 2+2 cell
+        position = [key & 3 for key in keys]
+        lower_first = (position[0], np.where(e1, position[0], position[1]), position[2])
+        # a mode cell passes no threshold, so it keeps its mode
+        thresholds = [
+            np.where(
+                has_mode,
+                unreachable,
+                ratio * ratio * (lo.astype(dtype) + hi) - (position[n + 1] < lower_first[n]),
+            )
+            for n, (lo, hi) in enumerate(zip(values, values[1:]))
+        ]
+        # 2N at phase (j, i) is (ratio - i) * left[j] + i * right[j], so it
+        # grows by right - left from one column phase to the next
+        left = 2 * ((ratio - j) * a.astype(dtype) + j * p)
+        right = 2 * ((ratio - j) * k.astype(dtype) + j * g)
+        twice_n = ratio * left
+        right -= left
+        planes = np.empty(twice_n.shape, np.uint8)
+        passed = np.empty(twice_n.shape, bool)
+        step_up = np.empty(twice_n.shape, np.uint8)
+        for i in range(ratio):
+            planes[...] = base
+            for t, step in zip(thresholds, steps):
+                np.greater(twice_n, t, out=passed)
+                np.multiply(passed, step, out=step_up)
+                planes += step_up
+            if i == 0:
+                planes[0] = a
+            yield planes
+            twice_n += right
+
+    return band_kernel
 
 
 def resample_nnv(img: Image, ratio: int) -> Image:
@@ -19,59 +78,17 @@ def resample_nnv(img: Image, ratio: int) -> Image:
     every other location with its cell's unique mode, else with the
     neighbor closest to the bilinear value, in exact integer arithmetic.
 
-    Each 2x2 cell is sorted once, at source resolution. Its four keys are
-    value * 4 + the first position in A/K/P/G order (top-left, top-right,
-    bottom-left, bottom-right) holding that value, so equal values share a
-    key and the mode census reads off equal neighbors in sorted order. A
-    mode cell takes the mode as all four sorted values. At offset
-    (i/ratio, j/ratio) the bilinear value is N / ratio**2 with integer N,
-    and the nearest sorted value is the one past as many of the three
-    midpoints ratio**2 * (v_n + v_n+1) / 2 as 2N exceeds. A midpoint tie
-    goes to the value whose first position is lower. The thresholds never
-    decrease, so the passed ones always form a prefix. Each column phase
-    of the output then costs one multiply-add and three comparisons.
+    Each 2x2 cell is sorted once, at source resolution, one band of rows
+    at a time. Its four keys are value * 4 + the position in A/K/P/G order
+    (top-left, top-right, bottom-left, bottom-right), so equal values sit
+    next to each other in sorted order, first position first, and the mode
+    census reads off equal neighbors. A mode cell takes its mode and
+    never leaves it. At offset (i/ratio, j/ratio) the bilinear value is
+    N / ratio**2 with integer N, and the nearest sorted value is the one
+    past as many of the three midpoints ratio**2 * (v_n + v_n+1) / 2 as 2N
+    exceeds. A midpoint tie goes to the value whose first position is
+    lower. The thresholds never decrease, so the passed ones always form a
+    prefix. Each column phase of the output then costs one add and three
+    comparisons.
     """
-    ratio = _check_ratio(ratio)
-    src = _pad_edges(img.pixels, 0, 1)
-    a, k, p, g = src[:-1, :-1], src[:-1, 1:], src[1:, :-1], src[1:, 1:]
-
-    cells = [v.astype(np.uint16) for v in (a, k, p, g)]
-    keys = []
-    for n, v in enumerate(cells):
-        key = 4 * v + n
-        for m in range(n):
-            key = np.where(cells[m] == v, keys[m], key)
-        keys.append(key)
-    # five compare-exchanges sort four keys: s0 <= s1 <= s2 <= s3
-    for lo, hi in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
-        keys[lo], keys[hi] = np.minimum(keys[lo], keys[hi]), np.maximum(keys[lo], keys[hi])
-    s0, s1, s2, s3 = keys
-    e1, e2, e3 = s0 == s1, s1 == s2, s2 == s3
-    # a unique mode: pattern 2+1+1 (one equal pair), 3+1 or 4
-    has_mode = (e1.astype(np.int8) + e2 + e3 == 1) | (e2 & (e1 | e3))
-    mode = np.where(e1 | e2, s1, s2)
-    keys = [np.where(has_mode, mode, key) for key in keys]
-
-    dtype = _int_dtype(2 * ratio * ratio * img.max_value + 1)
-    values = [(key >> 2).astype(np.uint8) for key in keys]
-    steps = [hi - lo for lo, hi in zip(values, values[1:])]
-    thresholds = [
-        ratio * ratio * (lo.astype(dtype) + hi) - ((keys[n + 1] & 3) < (keys[n] & 3))
-        for n, (lo, hi) in enumerate(zip(values, values[1:]))
-    ]
-    # 2N at phase (j, i) is (ratio - i) * left[j] + i * right[j]
-    j = np.arange(ratio, dtype=dtype)[:, None, None]
-    left = 2 * ((ratio - j) * a.astype(dtype) + j * p)
-    right = 2 * ((ratio - j) * k.astype(dtype) + j * g)
-
-    def col_phase(i: int) -> np.ndarray:
-        twice_n = (ratio - i) * left
-        twice_n += i * right
-        planes = values[0] + (twice_n > thresholds[0]) * steps[0]
-        for t, step in zip(thresholds[1:], steps[1:]):
-            planes += (twice_n > t) * step
-        if i == 0:
-            planes[0] = img.pixels
-        return planes
-
-    return _interleave(img, ratio, col_phase)
+    return _banded(img, ratio, 0, 1, _nnv)

@@ -7,38 +7,74 @@ Quantization is round half up, then clamp to [0, max_value].
 
 At an integer ratio r every sub-pixel offset is i/r, so output pixel
 (y*r + j, x*r + i) is a fixed kernel applied at phase (j, i) to the
-edge-padded source around (y, x). The resamplers compute the r phase
-planes of one column phase i at a time from shifted views of that
-source, weigh taps with integers over a power of r so that every value
-is exact at every ratio, and write plane (j, i) into out[j::r, i::r].
+edge-padded source around (y, x). Every resampler, NNV included, runs
+through one band loop, _banded: it pads the source once, as uint8, and
+walks it in bands of source rows [y0, y1) that hold about _BAND_BYTES of
+output each. A method's band kernel sees only the padded rows the band's
+taps reach and yields, one column phase i at a time, the r row phases of
+output rows [y0*r, y1*r), which _banded writes into out[y0*r:y1*r,
+i::r]. Taps are weighed with integers over a power of r, so every value
+is exact at every ratio, and each method's source-resolution temporaries
+are the size of a band, not of the image.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .image import Image, _check_ratio
 
+# output bytes per band: small enough that a band's temporaries stay in
+# cache, large enough that small outputs run as one band
+_BAND_BYTES = 512 * 1024
+# the largest output, in pixels, a resampler will allocate
+_MAX_OUTPUT_PIXELS = 2**31
 
-def _pad_edges(pixels: np.ndarray, before: int, after: int) -> np.ndarray:
-    """Source with its edge rows and columns replicated: the clamped taps."""
-    return np.pad(pixels, ((before, after), (before, after)), mode="edge")
+# band_kernel(band) yields the column phases i = 0..ratio-1 in order; band
+# holds the padded source rows [y0, y1 + before + after) and phase i is a
+# (ratio, y1 - y0, width) array whose [j, y, x] entry is output pixel
+# ((y0 + y)*ratio + j, x*ratio + i). A kernel may reuse one buffer for its
+# phases, so each is read before the next is asked for.
+BandKernel = Callable[[np.ndarray], Iterable[np.ndarray]]
 
 
-def _interleave(img: Image, ratio: int, col_phase: Callable[[int], np.ndarray]) -> Image:
-    """Assemble the output from its ratio**2 phase planes.
+def _banded(
+    img: Image,
+    ratio,
+    before: int,
+    after: int,
+    make_kernel: Callable[[int, int, int], BandKernel],
+) -> Image:
+    """Upscale ``img`` band by band with the kernel ``make_kernel(ratio,
+    max_value, width)`` over the source edge-padded by ``before`` rows and
+    columns before it and ``after`` after it.
 
-    ``col_phase(i)`` returns a (ratio, h, w) array whose [j, y, x] entry
-    is output pixel (y*ratio + j, x*ratio + i).
+    The ratio and the output size are checked before anything is
+    allocated.
     """
+    ratio = _check_ratio(ratio)
     h, w = img.height, img.width
+    if w * h * ratio * ratio > _MAX_OUTPUT_PIXELS:
+        raise ValueError(
+            f"output {w * ratio}x{h * ratio} ({w}x{h} at ratio {ratio}) exceeds "
+            f"the limit of {_MAX_OUTPUT_PIXELS} pixels"
+        )
+    band_kernel = make_kernel(ratio, img.max_value, w)
+    src = np.pad(img.pixels, ((before, after), (before, after)), mode="edge")
     out = np.empty((h, ratio, w, ratio), dtype=np.uint8)
-    for i in range(ratio):
-        # one copy per column phase keeps the Python-level loop O(ratio)
-        # and the copy's inner loop running along x, not over the phases
-        out[:, :, :, i] = col_phase(i).transpose(1, 0, 2)
+    rows = max(1, _BAND_BYTES // (w * ratio * ratio))
+    for y0 in range(0, h, rows):
+        y1 = min(y0 + rows, h)
+        # no name holds a phase past its copy, so one band's buffers are
+        # freed before the next band allocates its own
+        phases = iter(band_kernel(src[y0 : y1 + before + after]))
+        for i in range(ratio):
+            # one copy per column phase keeps the copy's inner loop
+            # running along x, not over the phases
+            out[y0:y1, :, :, i] = next(phases).transpose(1, 0, 2)
     return Image(out.reshape(h * ratio, w * ratio), img.max_value)
 
 
@@ -51,17 +87,15 @@ def _int_dtype(bound: int):
     return object
 
 
-def _weighted_sum(weights, views) -> np.ndarray:
-    """sum(c * view) over the nonzero weights c, as a new array."""
-    total = None
-    for c, view in zip(weights, views):
-        if not c:
-            continue
-        if total is None:
-            total = c * view
-        else:
-            total += c * view
-    return total
+def _weighted_sum(terms, views, out: np.ndarray, product: np.ndarray) -> np.ndarray:
+    """out = sum(c * views[t]) over the (c, t) in ``terms``; c may be a
+    scalar or an array that broadcasts against the view, and ``product``
+    is a buffer shaped like ``out`` that takes each product."""
+    (c, t), *rest = terms
+    np.multiply(views[t], c, out=out)
+    for c, t in rest:
+        out += np.multiply(views[t], c, out=product)
+    return out
 
 
 def _bilinear_weights(ratio: int) -> np.ndarray:
@@ -89,52 +123,76 @@ def _cubic_weights(ratio: int) -> np.ndarray:
     )
 
 
-def _separable(img: Image, ratio: int, weights: np.ndarray, before: int) -> Image:
-    """Upscale with a separable kernel given as integer tap weights.
+def _separable(weights_for: Callable[[int], np.ndarray], ratio: int, max_value: int, w: int) -> BandKernel:
+    """Band kernel of a separable kernel given as integer tap weights.
 
-    At offset i/ratio, ``weights[i, t]`` weighs the source pixel
-    ``base + t - before``; every row sums to the same per-axis
+    At offset i/ratio, ``weights_for(ratio)[i, t]`` weighs the source
+    pixel ``base + t - before``, where the band's padding puts ``before``
+    rows and columns ahead of it; every row sums to the same per-axis
     denominator d. A vertical pass, then a horizontal one, gives the
     numerator N over d*d, quantized exactly as floor(N/(d*d) + 1/2) and
-    clamped to [0, max_value].
+    clamped to [0, max_value]. The vertical pass computes 2*V + d for
+    each vertical numerator V, so that, as the weights sum to d, the
+    horizontal pass yields 2*N + d*d directly.
     """
-    h, w = img.height, img.width
+    weights = weights_for(ratio)
     taps = weights.shape[1]
-    denom = int(weights[0].sum()) ** 2
+    d = int(weights[0].sum())
     reach = int(np.abs(weights).sum(axis=1).max())
-    dtype = _int_dtype(2 * reach * reach * img.max_value + denom)
+    dtype = _int_dtype(reach * (2 * reach * max_value + d))
+    # with no negative weight the value stays inside [0, max_value]
+    overshoots = bool((weights < 0).any())
     weights = weights.astype(dtype)
-    src = _pad_edges(img.pixels, before, taps - 1 - before).astype(dtype)
-    # mid[j]: vertical numerators at row phase j, on the padded columns
-    mid = np.stack([_weighted_sum(row, [src[t : t + h] for t in range(taps)]) for row in weights])
+    # (weight, tap) of the nonzero weights at each column phase i; for the
+    # vertical pass, tap t's weights at every row phase j, doubled, as a
+    # (ratio, 1, 1) column
+    horizontal = [[(c, t) for t, c in enumerate(row) if c] for row in weights]
+    vertical = [(2 * column[:, None, None], t) for t, column in enumerate(weights.T) if column.any()]
 
-    def col_phase(i: int) -> np.ndarray:
-        num = _weighted_sum(weights[i], [mid[:, :, t : t + w] for t in range(taps)])
-        num *= 2
-        num += denom
-        num //= 2 * denom
-        return np.clip(num, 0, img.max_value, out=num)
+    def band_kernel(band: np.ndarray):
+        n = band.shape[0] - taps + 1
+        src = band.astype(dtype)
+        # mid[j]: twice the vertical numerators at row phase j, plus d,
+        # on the padded columns
+        mid = np.empty((ratio, n, band.shape[1]), dtype)
+        product = np.empty_like(mid)
+        _weighted_sum(vertical, [src[t : t + n] for t in range(taps)], mid, product)
+        mid += d
+        cols = [mid[:, :, t : t + w] for t in range(taps)]
+        num = np.empty((ratio, n, w), dtype)
+        for terms in horizontal:
+            _weighted_sum(terms, cols, num, product[:, :, :w])
+            num //= 2 * d * d
+            if overshoots:
+                np.clip(num, 0, max_value, out=num)
+            yield num
 
-    return _interleave(img, ratio, col_phase)
+    return band_kernel
+
+
+def _nn(ratio: int, max_value: int, w: int) -> BandKernel:
+    """Band kernel of nearest neighbor over the source padded by one row
+    and column after it."""
+
+    def band_kernel(band: np.ndarray):
+        n = band.shape[0] - 1
+        # offset j/ratio moves to the next source pixel only past one half
+        rows = np.stack([band[int(2 * j > ratio) :][:n] for j in range(ratio)])
+        return (rows[:, :, int(2 * i > ratio) :][:, :, :w] for i in range(ratio))
+
+    return band_kernel
 
 
 def resample_nn(img: Image, ratio: int) -> Image:
     """Upscale by copying the nearest source pixel (ties go to the lower index)."""
-    ratio = _check_ratio(ratio)
-    h, w = img.height, img.width
-    src = _pad_edges(img.pixels, 0, 1)
-    # offset j/ratio moves to the next source pixel only past one half
-    rows = np.stack([src[int(2 * j > ratio) :][:h] for j in range(ratio)])
-    return _interleave(img, ratio, lambda i: rows[:, :, int(2 * i > ratio) :][:, :, :w])
+    return _banded(img, ratio, 0, 1, _nn)
 
 
 def resample_bilinear(img: Image, ratio: int) -> Image:
     """Upscale with bilinear interpolation over clamped 2x2 cells."""
-    ratio = _check_ratio(ratio)
-    return _separable(img, ratio, _bilinear_weights(ratio), 0)
+    return _banded(img, ratio, 0, 1, partial(_separable, _bilinear_weights))
 
 
 def resample_bicubic(img: Image, ratio: int) -> Image:
     """Upscale with separable 4x4 cubic convolution, edge taps clamped."""
-    ratio = _check_ratio(ratio)
-    return _separable(img, ratio, _cubic_weights(ratio), 1)
+    return _banded(img, ratio, 1, 2, partial(_separable, _cubic_weights))

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior through main()."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from nnvresize import Image, load_pgm, read_pgm, save_pgm, write_pgm
+from nnvresize import Image, load_pgm, read_pgm, resample, save_pgm, write_pgm
 from nnvresize.cli import main
 
 from conftest import random_image
@@ -52,6 +54,15 @@ class TestScale:
         code = main(["scale", str(bad), str(tmp_path / "out.pgm")])
         assert code == 1
         assert "truncated" in capsys.readouterr().err
+
+    def test_output_above_pixel_limit_fails_cleanly(self, tmp_path, source_pgm, capsys):
+        # the limit is patched down: a real one would need a huge ratio
+        out_path = tmp_path / "out.pgm"
+        with mock.patch.object(resample, "_MAX_OUTPUT_PIXELS", 255):
+            code = main(["scale", str(source_pgm), str(out_path), "--ratio", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: output 16x16 (8x8 at ratio 2) exceeds the limit of 255 pixels\n"
+        assert not out_path.exists()
 
     def test_overflowing_p2_sample_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "big.pgm"

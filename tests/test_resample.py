@@ -3,11 +3,12 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from nnvresize import Image, resample_bicubic, resample_bilinear, resample_nn, resample_nnv
+from nnvresize import Image, nnv, resample, resample_bicubic, resample_bilinear, resample_nn, resample_nnv
 from nnvresize.resample import _cubic_weights
 
 from conftest import random_image
@@ -213,20 +214,109 @@ class TestSharedProperties:
         assert method(img, np.int64(2)) == method(img, 2)
 
 
-# tracemalloc peak of one ratio-4 call on a seeded 256x256 image, in
-# output bytes: nnv's bound is 8; the others sit at their measured peak
-# (1.3, 2.6 and 4.3) plus a margin
-PEAK_BOUNDS = {resample_nn: 1.5, resample_bilinear: 3, resample_bicubic: 5, resample_nnv: 8}
+def traced_peak(method, img, ratio):
+    """(tracemalloc peak of one call, in bytes; the output's bytes)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = method(img, ratio)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak, out.pixels.nbytes
+
+
+# tracemalloc peak of one ratio-4 call on a seeded 256x256 image (two
+# bands), in output bytes: the measured peak (1.32, 1.92, 2.78 and 3.33)
+# plus a margin
+PEAK_BOUNDS = {resample_nn: 1.5, resample_bilinear: 2.2, resample_bicubic: 3.2, resample_nnv: 3.8}
 
 
 @pytest.mark.parametrize("method", PEAK_BOUNDS, ids=lambda f: f.__name__)
 def test_peak_memory_bounded(method):
     img = random_image(np.random.default_rng(256), 256, 256)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = method(img, 4)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= PEAK_BOUNDS[method] * out.pixels.nbytes
+    peak, out_bytes = traced_peak(method, img, 4)
+    assert peak <= PEAK_BOUNDS[method] * out_bytes
+
+
+@pytest.mark.parametrize("method", PEAK_BOUNDS, ids=lambda f: f.__name__)
+def test_peak_memory_flat_in_height(method):
+    # an image 8x taller costs, beyond its output, only the extra rows of
+    # the padded uint8 source (at most 3 columns of padding, for bicubic):
+    # every other temporary is the size of a band
+    rng = np.random.default_rng(2048)
+    short, tall = (traced_peak(method, random_image(rng, 256, height), 4) for height in (256, 2048))
+    padded_growth = (2048 - 256) * (256 + 3)
+    growth = (tall[0] - tall[1]) - (short[0] - short[1])
+    assert growth <= padded_growth + 16 * 1024, f"{growth} bytes beyond the output"
+
+
+class TestOutputLimit:
+    """An output above the pixel limit is refused before anything is
+    allocated; the limit is patched down, never reached for real."""
+
+    @pytest.mark.parametrize("method", PEAK_BOUNDS, ids=lambda f: f.__name__)
+    def test_refused_with_size_ratio_and_limit(self, method):
+        img = Image([[1, 2, 3], [4, 5, 6]])
+        with mock.patch.object(resample, "_MAX_OUTPUT_PIXELS", 53):
+            with pytest.raises(ValueError, match=r"output 9x6 \(3x2 at ratio 3\) exceeds the limit of 53 pixels"):
+                method(img, 3)
+        with mock.patch.object(resample, "_MAX_OUTPUT_PIXELS", 54):
+            assert method(img, 3).pixels.size == 54
+
+    @pytest.mark.parametrize("method", PEAK_BOUNDS, ids=lambda f: f.__name__)
+    def test_refused_before_allocating(self, method):
+        img = random_image(np.random.default_rng(64), 64, 64)
+        with mock.patch.object(resample, "_MAX_OUTPUT_PIXELS", 1000):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="exceeds the limit"):
+                    method(img, 64)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 64 * 1024  # the output would be 16 MiB
+
+
+def phase_copies(method, img, ratio):
+    """Column phases the band loop copies in one call of ``method``: its
+    Python loop runs once per phase, so this is what the loop costs."""
+    copies = 0
+    banded = resample._banded
+
+    def counting(img, ratio, before, after, make_kernel):
+        def make(*args):
+            band_kernel = make_kernel(*args)
+
+            def counted(band):
+                nonlocal copies
+                for phase in band_kernel(band):
+                    copies += 1
+                    yield phase
+
+            return counted
+
+        return banded(img, ratio, before, after, make)
+
+    with mock.patch.object(resample, "_banded", counting), mock.patch.object(nnv, "_banded", counting):
+        method(img, ratio)
+    return copies
+
+
+@pytest.mark.parametrize("method", PEAK_BOUNDS, ids=lambda f: f.__name__)
+def test_tall_narrow_images_copy_no_more_phases(method):
+    # one column and one row at ratio 64 write the same 4 MiB as a square
+    # source; many bands of few pixels must not turn into more Python loop
+    # steps than the square takes for the same bytes
+    rng = np.random.default_rng(64)
+    square = phase_copies(method, random_image(rng, 32, 32), 64)
+    for width, height in ((1, 1024), (1024, 1)):
+        copies = phase_copies(method, random_image(rng, width, height), 64)
+        assert copies <= square, f"{width}x{height}: {copies} phase copies against {square} for the square"
+
+
+def test_huge_ratio_on_tiny_image_copies_each_phase_once_per_row():
+    # 2x2 at ratio 1000 is 4 MB in bands of one source row: one copy per
+    # column phase and row, each of a 1000x2 block, not one per output row
+    copies = phase_copies(resample_nn, random_image(np.random.default_rng(1000), 2, 2), 1000)
+    assert copies == 2 * 1000
