@@ -31,6 +31,11 @@ SHAPES = ((4, 3, 255), (1, 5, 255), (5, 1, 7), (6, 6, 7))
 # has such a tie (found by exhaustive search over 8 grey levels)
 TIE_CELLS = (Image([[6, 1], [7, 2]], 7), Image([[1, 7], [2, 3]], 7))
 
+# the extremes of an 8-bit image: a 0/255 checkerboard, whose bicubic
+# values overshoot [0, 255] on both sides from ratio 2 up, and a flat 255,
+# where every numerator takes its largest value
+EXTREMES = (Image([[0, 255, 0], [255, 0, 255], [0, 255, 0]]), Image([[255] * 3] * 2))
+
 
 @contextmanager
 def band_bytes(budget):
@@ -42,7 +47,7 @@ def band_bytes(budget):
 
 def seeded_images(ratio):
     rng = np.random.default_rng(1000 + ratio)
-    return [random_image(rng, w, h, max_value) for w, h, max_value in SHAPES] + list(TIE_CELLS)
+    return [random_image(rng, w, h, max_value) for w, h, max_value in SHAPES] + list(TIE_CELLS) + list(EXTREMES)
 
 
 def assert_matches_reference(method, img, ratio):

@@ -227,7 +227,7 @@ def traced_peak(method, img, ratio):
 
 
 # tracemalloc peak of one ratio-4 call on a seeded 256x256 image (two
-# bands), in output bytes: the measured peak (1.32, 1.92, 2.78 and 3.33)
+# bands), in output bytes: the measured peak (1.19, 2.08, 2.77 and 3.34)
 # plus a margin
 PEAK_BOUNDS = {resample_nn: 1.5, resample_bilinear: 2.2, resample_bicubic: 3.2, resample_nnv: 3.8}
 
@@ -284,19 +284,14 @@ def phase_copies(method, img, ratio):
     copies = 0
     banded = resample._banded
 
-    def counting(img, ratio, before, after, make_kernel):
-        def make(*args):
-            band_kernel = make_kernel(*args)
+    def counting(img, ratio, before, after, kernel):
+        def counted(*args):
+            nonlocal copies
+            for phase in kernel(*args):
+                copies += 1
+                yield phase
 
-            def counted(band):
-                nonlocal copies
-                for phase in band_kernel(band):
-                    copies += 1
-                    yield phase
-
-            return counted
-
-        return banded(img, ratio, before, after, make)
+        return banded(img, ratio, before, after, counted)
 
     with mock.patch.object(resample, "_banded", counting), mock.patch.object(nnv, "_banded", counting):
         method(img, ratio)
