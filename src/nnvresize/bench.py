@@ -3,6 +3,8 @@ and collect PSNR/MSE plus wall-clock time per (image, method, ratio)."""
 
 from __future__ import annotations
 
+import csv
+import io
 import platform
 import statistics
 import time
@@ -23,7 +25,7 @@ RESAMPLERS: dict[str, Callable[[Image, int], Image]] = {
     "nnv": resample_nnv,
 }
 
-METHOD_ORDER = ("nn", "bilinear", "bicubic", "nnv")
+METHOD_ORDER = tuple(RESAMPLERS)
 
 CSV_HEADER = "image,method,ratio,psnr_db,mse,wall_time_s"
 
@@ -123,14 +125,16 @@ def _fmt_psnr(value: float | None) -> str:
 
 def rows_to_csv(rows: Iterable[BenchRow]) -> str:
     """CSV text with fixed-format numeric columns; everything except
-    wall_time_s is deterministic across runs."""
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.image_name},{r.method},{r.ratio},"
-            f"{_fmt_psnr(r.psnr_db)},{r.mse:.6f},{r.wall_time_s:.6f}"
-        )
-    return "\n".join(lines) + "\n"
+    wall_time_s is deterministic across runs. Image names are quoted
+    only when they hold a comma, a quote or a line break."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    writer.writerows(
+        (r.image_name, r.method, r.ratio, _fmt_psnr(r.psnr_db), f"{r.mse:.6f}", f"{r.wall_time_s:.6f}")
+        for r in rows
+    )
+    return text.getvalue()
 
 
 def report_markdown(report: BenchReport) -> str:

@@ -105,10 +105,10 @@ def cmd_bench(args) -> int:
     methods = [m for m in args.methods.split(",") if m]
     report = run_benchmark(originals, args.ratios, methods, repeats=args.repeats)
 
-    Path(args.csv).write_text(rows_to_csv(report.rows), encoding="ascii")
+    Path(args.csv).write_text(rows_to_csv(report.rows), encoding="utf-8")
     markdown = report_markdown(report)
     if args.markdown:
-        Path(args.markdown).write_text(markdown, encoding="ascii")
+        Path(args.markdown).write_text(markdown, encoding="utf-8")
     print(markdown, end="")
     print(f"wrote {len(report.rows)} rows to {args.csv}", file=sys.stderr)
     return 0

@@ -223,7 +223,8 @@ def block_downsample(img: Image, ratio: int) -> Image:
     out_h = img.height // ratio
     blocks = img.pixels.astype(np.int64).reshape(out_h, ratio, out_w, ratio)
     sums = blocks.sum(axis=(1, 3))
-    # round half up on the exact rational mean: floor(s/r^2 + 1/2)
+    # round half up on the exact rational mean: floor(s/r^2 + 1/2); a mean
+    # of values in [0, max_value] rounds to at most max_value, so no clamp
     denom = ratio * ratio
     means = (2 * sums + denom) // (2 * denom)
-    return Image(np.clip(means, 0, img.max_value), img.max_value)
+    return Image(means, img.max_value)

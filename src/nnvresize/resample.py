@@ -13,9 +13,9 @@ walks it in bands of source rows [y0, y1) that hold about _BAND_BYTES of
 output each. Per band, a method's band kernel, a generator, gets the
 padded rows its taps reach and yields, one column phase i at a time, the
 r row phases of output rows [y0*r, y1*r) for out[y0*r:y1*r, i::r]. Taps
-are weighed with integers over a power of r (bilinear rounds the very
-numerator NNV compares), so every value is exact at every ratio, and
-each method's source-resolution temporaries are the size of a band.
+are weighed with integers over a power of r, rounding offset folded in
+(bilinear floor-divides the very sum NNV compares): every value is exact
+at every ratio, and each method's temporaries are the size of a band.
 """
 
 from __future__ import annotations
@@ -147,31 +147,34 @@ def _bicubic(band: np.ndarray, ratio: int, max_value: int):
         yield num
 
 
-def _twice_bilinear(band: np.ndarray, ratio: int, dtype):
-    """Twice the bilinear numerator over ``ratio**2`` of the band's 2x2
-    cells in ``dtype``, in one buffer stepped through the column phases:
-    2N at phase (j, i) is (ratio - i) * left[j] + i * right[j], so it
-    grows by right - left from one column phase to the next."""
+def _bilinear_dtype(ratio: int, max_value: int):
+    """Integer type of every 2N + ratio**2 <= ratio**2 * (2 * max_value + 1)."""
+    return _int_dtype(ratio * ratio * (2 * max_value + 1))
+
+
+def _twice_bilinear_half_up(band: np.ndarray, ratio: int, dtype):
+    """2N + ratio**2 for the bilinear numerator N over ``ratio**2`` of the
+    band's 2x2 cells in ``dtype``: (ratio - i) * left[j] + i * right[j] at
+    phase (j, i), left and right being twice the vertical numerators plus
+    ratio, in one buffer that grows by right - left per column phase."""
     a, k, p, g = band[:-1, :-1], band[:-1, 1:], band[1:, :-1], band[1:, 1:]
     j = np.arange(ratio, dtype=dtype)[:, None, None]
-    left = 2 * ((ratio - j) * a.astype(dtype) + j * p)
-    right = 2 * ((ratio - j) * k.astype(dtype) + j * g)
-    twice_n = ratio * left
+    left = 2 * ((ratio - j) * a.astype(dtype) + j * p) + ratio
+    right = 2 * ((ratio - j) * k.astype(dtype) + j * g) + ratio
+    num = ratio * left
     right -= left
     for _ in range(ratio):
-        yield twice_n
-        twice_n += right
+        yield num
+        num += right
 
 
 def _bilinear(band: np.ndarray, ratio: int, max_value: int):
     """Band kernel of bilinear interpolation over the source padded by one
     row and column after it; N / ratio**2, a weighted mean, needs no clamp."""
-    dtype = _int_dtype(ratio * ratio * (2 * max_value + 1))
+    dtype = _bilinear_dtype(ratio, max_value)
     num = np.empty((ratio, band.shape[0] - 1, band.shape[1] - 1), dtype)
-    for twice_n in _twice_bilinear(band, ratio, dtype):
-        np.add(twice_n, ratio * ratio, out=num)
-        num //= 2 * ratio * ratio
-        yield num
+    for half_up in _twice_bilinear_half_up(band, ratio, dtype):
+        yield np.floor_divide(half_up, 2 * ratio * ratio, out=num)
 
 
 def _nn(band: np.ndarray, ratio: int, max_value: int):

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through main()."""
 
+import csv
 from unittest import mock
 
 import numpy as np
@@ -170,6 +171,29 @@ class TestBench:
         assert code == 0
         lines = csv_path.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 1 * 2
+
+    def test_names_with_comma_and_non_ascii_read_back(self, tmp_path, rng):
+        d = tmp_path / "imgs"
+        d.mkdir()
+        for name in ("a,b", "café"):
+            write_pgm(d / f"{name}.pgm", random_image(rng, 4, 4))
+        csv_path, md_path = tmp_path / "bench.csv", tmp_path / "bench.md"
+        code = main([
+            "bench", str(d),
+            "--ratios", "2",
+            "--csv", str(csv_path),
+            "--markdown", str(md_path),
+            "--repeats", "1",
+        ])
+        assert code == 0
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["image"], r["method"]) for r in rows] == [
+            (name, method) for name in ("a,b", "café") for method in ("nn", "bilinear", "bicubic", "nnv")
+        ]
+        # a row with more fields than the header keeps the rest under None
+        assert all(None not in r for r in rows)
+        assert "| café |" in md_path.read_text(encoding="utf-8")
 
     def test_empty_directory_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -63,7 +63,7 @@ def test_matches_exact_reference(method, ratio):
         assert_matches_reference(method, img, ratio)
 
 
-@pytest.mark.parametrize("ratio", range(1, 9))
+@pytest.mark.parametrize("ratio", RATIOS)
 @pytest.mark.parametrize("method", METHODS)
 def test_band_seams_match_exact_reference(method, ratio):
     # one source row per band, then two rows per band with a shorter
