@@ -137,6 +137,14 @@ def rows_to_csv(rows: Iterable[BenchRow]) -> str:
     return text.getvalue()
 
 
+# a "|" would end a markdown table cell and a line break its row
+_MARKDOWN_CELL = str.maketrans({"|": r"\|", "\r": " ", "\n": " "})
+
+
+def _markdown_row(cells: Iterable[str]) -> str:
+    return "| " + " | ".join(cell.translate(_MARKDOWN_CELL) for cell in cells) + " |"
+
+
 def report_markdown(report: BenchReport) -> str:
     """Per-ratio tables, one row per image, PSNR columns then time columns."""
     ratios = list(dict.fromkeys(r.ratio for r in report.rows))
@@ -152,12 +160,12 @@ def report_markdown(report: BenchReport) -> str:
             + [f"{m} time (s)" for m in methods]
         )
         lines += ["", f"## ratio = {ratio}", ""]
-        lines.append("| " + " | ".join(header) + " |")
+        lines.append(_markdown_row(header))
         lines.append("|" + "---|" * len(header))
         for name in images:
             cells = [name]
             picked = [by_key[(name, m, ratio)] for m in methods]
             cells += [_fmt_psnr(r.psnr_db) for r in picked]
             cells += [f"{r.wall_time_s:.6f}" for r in picked]
-            lines.append("| " + " | ".join(cells) + " |")
+            lines.append(_markdown_row(cells))
     return "\n".join(lines) + "\n"

@@ -11,13 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from .image import Image
-from .resample import _banded, _bilinear_dtype, _twice_bilinear_half_up
+from .resample import _banded, _bilinear_half_up
 
 
 def _nnv(band: np.ndarray, ratio: int, max_value: int):
     """Band kernel of NNV over the source padded by one row and column
     after it."""
-    dtype = _bilinear_dtype(ratio, max_value)
+    half_up, step = _bilinear_half_up(band, ratio, max_value)
     a, k, p, g = band[:-1, :-1], band[:-1, 1:], band[1:, :-1], band[1:, 1:]
     # value * 4 + position in A/K/P/G order: equal values sort by position;
     # the product's type is named, as NumPy 1.x would keep uint8 * 4 in
@@ -29,32 +29,33 @@ def _nnv(band: np.ndarray, ratio: int, max_value: int):
     values = [(key >> 2).astype(np.uint8) for key in keys]
     e1, e2, e3 = (lo == hi for lo, hi in zip(values, values[1:]))
     # only patterns 1+1+1+1 and 2+2 lack a unique mode; a mode cell is
-    # made flat, so it has no steps and keeps its mode
+    # made flat, so it has no gaps and keeps its mode
     has_mode = e2 | (e1 != e3)
     mode = np.where(e1 | e2, values[1], values[2])
     values = [np.where(has_mode, mode, v) for v in values]
-    steps = [hi - lo for lo, hi in zip(values, values[1:])]
+    gaps = [hi - lo for lo, hi in zip(values, values[1:])]
     # a midpoint tie goes up when the upper value's first position is the
     # lower one: s_n+1 holds the upper value's, and s_n the lower value's,
     # except that s0 holds it in the middle of a 2+2 cell
     position = [key & 3 for key in keys]
     lower_first = (position[0], np.where(e1, position[0], position[1]), position[2])
     thresholds = [
-        ratio * ratio * (lo.astype(dtype) + hi + 1) - (position[n + 1] < lower_first[n])
+        ratio * ratio * (lo.astype(half_up.dtype) + hi + 1) - (position[n + 1] < lower_first[n])
         for n, (lo, hi) in enumerate(zip(values, values[1:]))
     ]
     planes = np.empty((ratio,) + a.shape, np.uint8)
     passed = np.empty(planes.shape, bool)
-    step_up = np.empty(planes.shape, np.uint8)
-    for i, half_up in enumerate(_twice_bilinear_half_up(band, ratio, dtype)):
+    raised = np.empty(planes.shape, np.uint8)
+    for i in range(ratio):
         planes[...] = values[0]
-        for t, step in zip(thresholds, steps):
+        for t, gap in zip(thresholds, gaps):
             np.greater(half_up, t, out=passed)
-            np.multiply(passed, step, out=step_up)
-            planes += step_up
+            np.multiply(passed, gap, out=raised)
+            planes += raised
         if i == 0:
             planes[0] = a
         yield planes
+        half_up += step
 
 
 def resample_nnv(img: Image, ratio: int) -> Image:
@@ -68,11 +69,12 @@ def resample_nnv(img: Image, ratio: int) -> Image:
     next to each other in sorted order, first position first, and the mode
     census reads off equal neighbors. A mode cell's values all become its
     mode. At offset (i/ratio, j/ratio) the bilinear value is N / ratio**2;
-    2N + ratio**2, which resample_bilinear floor-divides by 2 * ratio**2,
-    picks the sorted value past as many of the doubled midpoints plus
-    offset, ratio**2 * (v_n + v_n+1 + 1), as it exceeds. A midpoint tie
-    goes to the value whose first position is lower. The thresholds never
-    decrease, so the passed ones always form a prefix. Each column phase
-    of the output then costs one add and three comparisons.
+    2N + ratio**2, the sum resample_bilinear floor-divides by 2 * ratio**2
+    (one vertical pass per band, one add per column phase), picks the
+    sorted value past as many of the doubled midpoints plus offset,
+    ratio**2 * (v_n + v_n+1 + 1), as it exceeds. A midpoint tie goes to
+    the value whose first position is lower. The thresholds never
+    decrease, so the passed ones form a prefix, and each column phase of
+    the output costs one add and three comparisons.
     """
     return _banded(img, ratio, 0, 1, _nnv)

@@ -13,9 +13,11 @@ walks it in bands of source rows [y0, y1) that hold about _BAND_BYTES of
 output each. Per band, a method's band kernel, a generator, gets the
 padded rows its taps reach and yields, one column phase i at a time, the
 r row phases of output rows [y0*r, y1*r) for out[y0*r:y1*r, i::r]. Taps
-are weighed with integers over a power of r, rounding offset folded in
-(bilinear floor-divides the very sum NNV compares): every value is exact
-at every ratio, and each method's temporaries are the size of a band.
+are weighed with integers over a power of r, rounding offset folded in,
+in one vertical pass, _vertical_half_up, per band: bilinear and NNV step
+its result across column phases (bilinear floor-divides the very sum NNV
+compares), bicubic weighs four of its columns. Every value is exact at
+every ratio, and each method's temporaries are the size of a band.
 """
 
 from __future__ import annotations
@@ -108,73 +110,68 @@ def _cubic_weights(ratio: int) -> np.ndarray:
     )
 
 
+def _vertical_half_up(band: np.ndarray, weights: np.ndarray, max_value: int) -> np.ndarray:
+    """2V + d at every row phase j over every padded column, V weighing
+    the band's rows with ``weights[j]``; each row of the (ratio, taps)
+    integer weights sums to d. Weighed again by them, 2V + d yields
+    2N + d*d, so the integer type holds reach * (2 * reach * max_value +
+    d), reach being the largest sum of a row's |weights|."""
+    ratio, taps = weights.shape
+    d = int(weights[0].sum())
+    reach = int(np.abs(weights).sum(axis=1).max())
+    dtype = _int_dtype(reach * (2 * reach * max_value + d))
+    # tap t's weights at every row phase, doubled, as a (ratio, 1, 1) column
+    terms = [(2 * column[:, None, None], t) for t, column in enumerate(weights.astype(dtype).T) if column.any()]
+    n = band.shape[0] - taps + 1
+    src = band.astype(dtype)
+    mid = np.empty((ratio, n, band.shape[1]), dtype)
+    _weighted_sum(terms, [src[t : t + n] for t in range(taps)], mid, np.empty_like(mid))
+    mid += d
+    return mid
+
+
 def _bicubic(band: np.ndarray, ratio: int, max_value: int):
     """Band kernel of separable cubic convolution over the source padded
     by one row and column before it and two after it.
 
     At offset i/ratio, ``_cubic_weights(ratio)[i, t]`` weighs the source
-    pixel ``base + t - 1`` over d = 2 * ratio**3 per axis. A vertical
-    pass, then a horizontal one, gives the numerator N over d*d, quantized
-    exactly as floor(N/(d*d) + 1/2) and clamped to [0, max_value]. The
-    vertical pass computes 2*V + d for each vertical numerator V, so that,
-    as the weights sum to d, the horizontal pass yields 2*N + d*d directly.
+    pixel ``base + t - 1`` over d = 2 * ratio**3 per axis. Column phase i
+    weighs four column views of the vertical pass's 2V + d into 2N + d*d,
+    N being the numerator over d*d, quantized exactly as
+    floor(N/(d*d) + 1/2) and clamped to [0, max_value].
     """
     weights = _cubic_weights(ratio)
-    taps = weights.shape[1]
-    d = int(weights[0].sum())
-    reach = int(np.abs(weights).sum(axis=1).max())
-    dtype = _int_dtype(reach * (2 * reach * max_value + d))
-    weights = weights.astype(dtype)
-    # (weight, tap) of the nonzero weights at each column phase i; for the
-    # vertical pass, tap t's weights at every row phase j, doubled, as a
-    # (ratio, 1, 1) column
-    horizontal = [[(c, t) for t, c in enumerate(row) if c] for row in weights]
-    vertical = [(2 * column[:, None, None], t) for t, column in enumerate(weights.T) if column.any()]
-    n, w = band.shape[0] - taps + 1, band.shape[1] - taps + 1
-    src = band.astype(dtype)
-    # mid[j]: twice the vertical numerators at row phase j, plus d, on the
-    # padded columns
-    mid = np.empty((ratio, n, band.shape[1]), dtype)
-    product = np.empty_like(mid)
-    _weighted_sum(vertical, [src[t : t + n] for t in range(taps)], mid, product)
-    mid += d
-    cols = [mid[:, :, t : t + w] for t in range(taps)]
-    num = np.empty((ratio, n, w), dtype)
-    for terms in horizontal:
-        _weighted_sum(terms, cols, num, product[:, :, :w])
+    d = 2 * ratio**3
+    mid = _vertical_half_up(band, weights, max_value)
+    w = mid.shape[2] - 3
+    cols = [mid[:, :, t : t + w] for t in range(4)]
+    num = np.empty(mid.shape[:2] + (w,), mid.dtype)
+    product = np.empty_like(num)
+    for row in weights.astype(mid.dtype):
+        _weighted_sum([(c, t) for t, c in enumerate(row) if c], cols, num, product)
         num //= 2 * d * d
         np.clip(num, 0, max_value, out=num)
         yield num
 
 
-def _bilinear_dtype(ratio: int, max_value: int):
-    """Integer type of every 2N + ratio**2 <= ratio**2 * (2 * max_value + 1)."""
-    return _int_dtype(ratio * ratio * (2 * max_value + 1))
-
-
-def _twice_bilinear_half_up(band: np.ndarray, ratio: int, dtype):
-    """2N + ratio**2 for the bilinear numerator N over ``ratio**2`` of the
-    band's 2x2 cells in ``dtype``: (ratio - i) * left[j] + i * right[j] at
-    phase (j, i), left and right being twice the vertical numerators plus
-    ratio, in one buffer that grows by right - left per column phase."""
-    a, k, p, g = band[:-1, :-1], band[:-1, 1:], band[1:, :-1], band[1:, 1:]
-    j = np.arange(ratio, dtype=dtype)[:, None, None]
-    left = 2 * ((ratio - j) * a.astype(dtype) + j * p) + ratio
-    right = 2 * ((ratio - j) * k.astype(dtype) + j * g) + ratio
-    num = ratio * left
-    right -= left
-    for _ in range(ratio):
-        yield num
-        num += right
+def _bilinear_half_up(band: np.ndarray, ratio: int, max_value: int):
+    """(2N + ratio**2 at column phase 0, its step per column phase) for
+    the bilinear numerator N over ``ratio**2`` of the band's 2x2 cells:
+    with mid = 2V + ratio for the weights (ratio - j, j), phase (j, i) is
+    ratio * mid[j, :, x] + i * (mid[j, :, x + 1] - mid[j, :, x])."""
+    j = np.arange(ratio)
+    mid = _vertical_half_up(band, np.stack([ratio - j, j], axis=1), max_value)
+    return ratio * mid[..., :-1], mid[..., 1:] - mid[..., :-1]
 
 
 def _bilinear(band: np.ndarray, ratio: int, max_value: int):
     """Band kernel of bilinear interpolation over the source padded by one
     row and column after it; N / ratio**2, a weighted mean, needs no clamp."""
-    dtype = _bilinear_dtype(ratio, max_value)
-    num = np.empty((ratio, band.shape[0] - 1, band.shape[1] - 1), dtype)
-    for half_up in _twice_bilinear_half_up(band, ratio, dtype):
+    half_up, step = _bilinear_half_up(band, ratio, max_value)
+    num = np.empty_like(half_up)
+    for _ in range(ratio):
         yield np.floor_divide(half_up, 2 * ratio * ratio, out=num)
+        half_up += step
 
 
 def _nn(band: np.ndarray, ratio: int, max_value: int):

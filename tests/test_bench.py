@@ -118,3 +118,7 @@ class TestMarkdown:
     def test_environment_note_present(self, originals):
         report = run_benchmark(originals, ratios=[2], repeats=1)
         assert "Environment:" in report_markdown(report)
+
+    def test_carriage_return_in_a_name_becomes_a_space(self, rng):
+        report = run_benchmark([("cr\rname", random_image(rng, 4, 4))], ratios=[2], methods=["nn"], repeats=1)
+        assert "| cr name |" in report_markdown(report)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through main()."""
 
 import csv
+import re
 from unittest import mock
 
 import numpy as np
@@ -194,6 +195,30 @@ class TestBench:
         # a row with more fields than the header keeps the rest under None
         assert all(None not in r for r in rows)
         assert "| café |" in md_path.read_text(encoding="utf-8")
+
+    def test_names_with_pipe_and_line_breaks_keep_one_row(self, tmp_path, rng):
+        names = ("x|y", "line\nbreak")
+        d = tmp_path / "imgs"
+        d.mkdir()
+        for name in names:
+            write_pgm(d / f"{name}.pgm", random_image(rng, 4, 4))
+        csv_path, md_path = tmp_path / "bench.csv", tmp_path / "bench.md"
+        code = main([
+            "bench", str(d),
+            "--ratios", "2",
+            "--csv", str(csv_path),
+            "--markdown", str(md_path),
+            "--repeats", "1",
+        ])
+        assert code == 0
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            assert sorted({r["image"] for r in csv.DictReader(fh)}) == sorted(names)
+        table = [line for line in md_path.read_text(encoding="utf-8").split("\n") if line.startswith("|")]
+        # header, rule and one row per image, each of 1 + 4 + 4 cells
+        assert len(table) == 2 + len(names)
+        assert all(len(re.split(r"(?<!\\)\|", line)) == 2 + 9 for line in table)
+        for cell in (r"| x\|y |", "| line break |"):
+            assert any(line.startswith(cell) for line in table[2:]), cell
 
     def test_empty_directory_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nnvresize import Image, nnv, resample, resample_bicubic, resample_bilinear, resample_nn, resample_nnv
-from nnvresize.resample import _cubic_weights
+from nnvresize.resample import _cubic_weights, _vertical_half_up
 
 from conftest import random_image
 from refimpl import exact_resample
@@ -159,6 +159,25 @@ class TestCubicKernel:
             assert _cubic_weights(r).sum(axis=1).tolist() == [2 * r**3] * r
 
 
+def test_vertical_pass_picks_the_narrowest_type():
+    # one bound, reach * (2 * reach * max_value + d), for bilinear's
+    # weights (r - j, j) and the cubic ones alike, at 8 bits
+    band = np.full((4, 4), 255, np.uint8)
+
+    def dtype(weights):
+        return _vertical_half_up(band, weights, 255).dtype
+
+    def bilinear(r):
+        return np.stack([r - np.arange(r), np.arange(r)], axis=1)
+
+    assert [dtype(bilinear(r)) for r in (8, 9)] == [np.int16, np.int32]
+    cubic = {r: dtype(_cubic_weights(r)) for r in range(1, 379)}
+    assert cubic[1] == np.int16
+    assert {cubic[r] for r in range(2, 10)} == {np.dtype(np.int32)}
+    assert {cubic[r] for r in range(10, 378)} == {np.dtype(np.int64)}
+    assert cubic[378] == object
+
+
 class TestBicubicResample:
     def test_constant_preserved(self):
         img = Image(np.full((4, 4), 42, dtype=np.uint8))
@@ -227,9 +246,10 @@ def traced_peak(method, img, ratio):
 
 
 # tracemalloc peak of one ratio-4 call on a seeded 256x256 image (two
-# bands), in output bytes: the measured peak (1.19, 2.08, 2.77 and 3.34)
-# plus a margin
-PEAK_BOUNDS = {resample_nn: 1.5, resample_bilinear: 2.2, resample_bicubic: 3.2, resample_nnv: 3.8}
+# bands), in output bytes: the measured peak (1.19, 1.85, 2.61 and 3.08)
+# plus a margin small enough that a second vertical pass per band, as
+# bilinear and NNV once made (2.08 and 3.34), would fail it
+PEAK_BOUNDS = {resample_nn: 1.5, resample_bilinear: 1.95, resample_bicubic: 2.7, resample_nnv: 3.2}
 
 
 @pytest.mark.parametrize("method", PEAK_BOUNDS, ids=lambda f: f.__name__)
