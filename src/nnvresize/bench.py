@@ -126,14 +126,18 @@ def _fmt_psnr(value: float | None) -> str:
 def rows_to_csv(rows: Iterable[BenchRow]) -> str:
     """CSV text with fixed-format numeric columns; everything except
     wall_time_s is deterministic across runs. Image names are quoted
-    only when they hold a comma, a quote or a line break."""
+    only when they hold a comma, a quote or a line break, and a CR in a
+    name quotes its whole row."""
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
+    # csv quotes a CR only when the line terminator holds one, so a row
+    # whose name holds a CR is written with every field quoted
+    quoted = csv.writer(text, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(CSV_HEADER.split(","))
-    writer.writerows(
-        (r.image_name, r.method, r.ratio, _fmt_psnr(r.psnr_db), f"{r.mse:.6f}", f"{r.wall_time_s:.6f}")
-        for r in rows
-    )
+    for r in rows:
+        (quoted if "\r" in r.image_name else writer).writerow(
+            (r.image_name, r.method, r.ratio, _fmt_psnr(r.psnr_db), f"{r.mse:.6f}", f"{r.wall_time_s:.6f}")
+        )
     return text.getvalue()
 
 

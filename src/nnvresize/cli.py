@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -60,6 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--markdown", help="also write the markdown table here")
     p_bench.add_argument("--repeats", type=_positive_int, default=5, help="timing repetitions (median is reported)")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: building it costs about a
+    millisecond, and parse_args leaves no state in it between calls."""
+    return build_parser()
 
 
 def cmd_scale(args) -> int:
@@ -123,7 +131,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (PgmError, ValueError, OSError) as exc:

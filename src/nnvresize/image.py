@@ -1,4 +1,5 @@
-"""Grayscale image container, PGM codec, and block-average downsampling."""
+"""Grayscale image container, PGM codec, block-average downsampling, and
+the row bands that every whole-image loop of the package walks."""
 
 from __future__ import annotations
 
@@ -15,6 +16,13 @@ _COMMENT = re.compile(rb"#[^\r\n]*")
 _TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]+|" + _COMMENT.pattern + rb")*([^ \t\n\r\x0b\x0c#]*)")
 # what int() accepts in a token: optional sign, digits, single underscores
 _SAMPLE = re.compile(rb"[+-]?[0-9](?:_?[0-9])*")
+
+# bytes of work per band: small enough that a band's temporaries stay in
+# cache, large enough that a small image runs as one band
+_BAND_BYTES = 512 * 1024
+# a reduction's inputs and temporaries per source pixel, at most: mse
+# reads two uint8 pixels into an int16 difference and its int32 square
+_REDUCE_PIXEL_BYTES = 8
 
 
 class PgmError(ValueError):
@@ -170,10 +178,11 @@ def load_pgm(data: bytes) -> Image:
         # exactly one whitespace byte separates maxval from the raster
         if data[pos : pos + 1] not in _WHITESPACE:
             raise PgmError("malformed header: missing whitespace before raster")
-        raster = data[pos + 1 : pos + 1 + count]
-        if len(raster) < count:
-            raise PgmError(f"truncated pixel data: expected {count} bytes, got {len(raster)}")
-        arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+        available = max(0, len(data) - pos - 1)
+        if available < count:
+            raise PgmError(f"truncated pixel data: expected {count} bytes, got {available}")
+        # a view of the raster in data, not a copy of it
+        arr = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos + 1).reshape(height, width)
     else:
         samples = _p2_samples(data[pos:], count)
         if len(samples) < count:
@@ -201,11 +210,41 @@ def write_pgm(path: str | os.PathLike, img: Image) -> None:
         fh.write(save_pgm(img))
 
 
+def _bands(rows: int, row_bytes: int):
+    """(y0, y1) of consecutive bands [y0, y1) of ``rows`` rows that cost
+    ``row_bytes`` each, about _BAND_BYTES a band and one row at least."""
+    step = max(1, _BAND_BYTES // row_bytes)
+    for y0 in range(0, rows, step):
+        yield y0, min(y0 + step, rows)
+
+
+def _int_dtype(bound: int):
+    """Narrowest signed integer type holding every integer of magnitude
+    <= bound; Python integers (object arrays) past int64."""
+    for dtype in (np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return object
+
+
 def _check_ratio(ratio) -> int:
     """The ratio as a Python int; ValueError unless it is an integer >= 1."""
     if not _is_integer(ratio) or ratio < 1:
         raise ValueError(f"ratio must be an integer >= 1, got {ratio!r}")
     return int(ratio)
+
+
+def _block_sums_half_up(band: np.ndarray, ratio: int, dtype) -> np.ndarray:
+    """s + ratio**2 // 2 for the sum s of each ratio x ratio block of the
+    band: its strided rows are added, then the strided columns of that."""
+    rows = band[0::ratio].astype(dtype)
+    for i in range(1, ratio):
+        rows += band[i::ratio]
+    sums = rows[:, 0::ratio].copy()
+    for i in range(1, ratio):
+        sums += rows[:, i::ratio]
+    sums += ratio * ratio // 2
+    return sums
 
 
 def block_downsample(img: Image, ratio: int) -> Image:
@@ -219,12 +258,16 @@ def block_downsample(img: Image, ratio: int) -> Image:
         raise ValueError(
             f"dimensions {img.width}x{img.height} not divisible by ratio {ratio}"
         )
-    out_w = img.width // ratio
-    out_h = img.height // ratio
-    blocks = img.pixels.astype(np.int64).reshape(out_h, ratio, out_w, ratio)
-    sums = blocks.sum(axis=(1, 3))
-    # round half up on the exact rational mean: floor(s/r^2 + 1/2); a mean
-    # of values in [0, max_value] rounds to at most max_value, so no clamp
     denom = ratio * ratio
-    means = (2 * sums + denom) // (2 * denom)
-    return Image(means, img.max_value)
+    # round half up on the exact rational mean, floor(s/r^2 + 1/2), is
+    # (s + r^2 // 2) // r^2; a mean of values in [0, max_value] rounds to
+    # at most max_value, so no clamp
+    dtype = _int_dtype(denom * img.max_value + denom // 2)
+    width = img.width
+    out = np.empty((img.height // ratio, width // ratio), dtype=np.uint8)
+    for y0, y1 in _bands(out.shape[0], _REDUCE_PIXEL_BYTES * width * ratio):
+        # no name holds a band's sums, so they are freed before the next
+        # band's are taken
+        band = img.pixels[y0 * ratio : y1 * ratio]
+        np.floor_divide(_block_sums_half_up(band, ratio, dtype), denom, out=out[y0:y1], casting="unsafe")
+    return Image(out, img.max_value)

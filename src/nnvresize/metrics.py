@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import Image
+from .image import _REDUCE_PIXEL_BYTES, Image, _bands
 
 
 @dataclass(frozen=True)
@@ -26,16 +26,30 @@ def _check_dims(reference: Image, test: Image) -> None:
         )
 
 
+def _sum_of_squares(a: np.ndarray, b: np.ndarray) -> int:
+    """Exact sum of (a - b)**2 over two uint8 arrays: the difference as
+    int16, its square as int32, their sum in int64."""
+    diff = a.astype(np.int16)
+    diff -= b
+    square = diff.astype(np.int32)
+    square *= square
+    return int(square.sum(dtype=np.int64))
+
+
 def mse(reference: Image, test: Image) -> float:
     """Mean squared intensity difference.
 
-    Squared differences are summed in integer arithmetic before the one
-    division, so the result does not depend on summation order.
+    Squared differences are summed exactly, a band of rows at a time,
+    before the one division, so the result does not depend on summation
+    order or band size.
     """
     _check_dims(reference, test)
-    diff = reference.pixels.astype(np.int64) - test.pixels.astype(np.int64)
-    total = int(np.sum(diff * diff, dtype=np.int64))
-    return total / (reference.width * reference.height)
+    width, height = reference.width, reference.height
+    total = sum(
+        _sum_of_squares(reference.pixels[y0:y1], test.pixels[y0:y1])
+        for y0, y1 in _bands(height, _REDUCE_PIXEL_BYTES * width)
+    )
+    return total / (width * height)
 
 
 def psnr(reference: Image, test: Image) -> MetricsReport:

@@ -9,15 +9,16 @@ At an integer ratio r every sub-pixel offset is i/r, so output pixel
 (y*r + j, x*r + i) is a fixed kernel applied at phase (j, i) to the
 edge-padded source around (y, x). Every resampler, NNV included, runs
 through one band loop, _banded: it pads the source once, as uint8, and
-walks it in bands of source rows [y0, y1) that hold about _BAND_BYTES of
-output each. Per band, a method's band kernel, a generator, gets the
-padded rows its taps reach and yields, one column phase i at a time, the
-r row phases of output rows [y0*r, y1*r) for out[y0*r:y1*r, i::r]. Taps
-are weighed with integers over a power of r, rounding offset folded in,
-in one vertical pass, _vertical_half_up, per band: bilinear and NNV step
-its result across column phases (bilinear floor-divides the very sum NNV
-compares), bicubic weighs four of its columns. Every value is exact at
-every ratio, and each method's temporaries are the size of a band.
+walks it in bands of source rows [y0, y1) that hold about
+image._BAND_BYTES of output each. Per band, a method's band kernel, a
+generator, gets the padded rows its taps reach and yields, one column
+phase i at a time, the r row phases of output rows [y0*r, y1*r) for
+out[y0*r:y1*r, i::r]. Taps are weighed with integers over a power of r,
+rounding offset folded in, in one vertical pass, _vertical_half_up, per
+band: bilinear and NNV step its result across column phases (bilinear
+floor-divides the very sum NNV compares), bicubic weighs four of its
+columns. Every value is exact at every ratio, and each method's
+temporaries are the size of a band.
 """
 
 from __future__ import annotations
@@ -26,11 +27,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .image import Image, _check_ratio
+from .image import Image, _bands, _check_ratio, _int_dtype
 
-# output bytes per band: small enough that a band's temporaries stay in
-# cache, large enough that small outputs run as one band
-_BAND_BYTES = 512 * 1024
 # the largest output, in pixels, a resampler will allocate
 _MAX_OUTPUT_PIXELS = 2**31
 
@@ -59,9 +57,7 @@ def _banded(img: Image, ratio, before: int, after: int, kernel: Kernel) -> Image
         )
     src = np.pad(img.pixels, ((before, after), (before, after)), mode="edge")
     out = np.empty((h, ratio, w, ratio), dtype=np.uint8)
-    rows = max(1, _BAND_BYTES // (w * ratio * ratio))
-    for y0 in range(0, h, rows):
-        y1 = min(y0 + rows, h)
+    for y0, y1 in _bands(h, w * ratio * ratio):
         # no name holds a phase past its copy, so one band's buffers are
         # freed before the next band allocates its own
         phases = kernel(src[y0 : y1 + before + after], ratio, img.max_value)
@@ -70,15 +66,6 @@ def _banded(img: Image, ratio, before: int, after: int, kernel: Kernel) -> Image
             # running along x, not over the phases
             out[y0:y1, :, :, i] = next(phases).transpose(1, 0, 2)
     return Image(out.reshape(h * ratio, w * ratio), img.max_value)
-
-
-def _int_dtype(bound: int):
-    """Narrowest signed integer type holding every integer of magnitude
-    <= bound; Python integers (object arrays) past int64."""
-    for dtype in (np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(dtype).max:
-            return dtype
-    return object
 
 
 def _weighted_sum(terms, views, out: np.ndarray, product: np.ndarray) -> None:

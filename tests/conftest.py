@@ -11,12 +11,15 @@ serves as a labeled stand-in where pixel content is irrelevant (timing).
 """
 
 import os
+import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from nnvresize import Image, read_pgm
+from nnvresize import Image, image, read_pgm
 
 STANDARD_ORIGINAL_NAMES = ("cameraman", "girl", "house", "peppers")
 
@@ -28,6 +31,26 @@ def rng():
 
 def random_image(rng, width, height, max_value=255):
     return Image(rng.integers(0, max_value + 1, size=(height, width)), max_value)
+
+
+def traced_peak(fn, *args):
+    """(tracemalloc peak of one call fn(*args), in bytes; its result)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+@contextmanager
+def band_bytes(budget):
+    """Run every banded loop (the resamplers, mse, block_downsample) with
+    a band budget of ``budget`` bytes; 1 makes every band one row."""
+    with mock.patch.object(image, "_BAND_BYTES", budget):
+        yield
 
 
 def find_standard_original(name: str):

@@ -7,7 +7,10 @@ companions and taps clamp to the edge, quantization is floor(v + 1/2)
 clamped to [0, max_value]. They pin the vectorized resamplers pixel for
 pixel at every integer ratio. The oracles below them share no code
 with the library's selection logic either, and oracle_load_pgm decodes
-PGM one token at a time, sharing no parsing code with the package.
+PGM one token at a time, sharing no parsing code with the package. The
+reduction oracles (oracle_mse, oracle_psnr, oracle_block_downsample)
+widen the whole image to int64 at once, where the package works in row
+bands of narrower integers.
 """
 
 import math
@@ -17,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from nnvresize import Image, PgmError
+from nnvresize import Image, MetricsReport, PgmError
 
 HALF = Fraction(1, 2)
 CUBIC_A = Fraction(-1, 2)
@@ -233,3 +236,26 @@ def oracle_load_pgm(data: bytes) -> Image:
     if max(values) > maxval or min(values) < 0:
         raise PgmError(f"sample value outside [0, {maxval}]")
     return Image(np.array(values, dtype=np.uint8).reshape(height, width), maxval)
+
+
+def oracle_mse(reference: Image, test: Image) -> float:
+    """Mean squared error from one whole-image int64 sum and one division."""
+    diff = reference.pixels.astype(np.int64) - test.pixels.astype(np.int64)
+    return int(np.sum(diff * diff, dtype=np.int64)) / diff.size
+
+
+def oracle_psnr(reference: Image, test: Image) -> MetricsReport:
+    err = oracle_mse(reference, test)
+    if err == 0.0:
+        return MetricsReport(mse=0.0, psnr_db=None)
+    peak = reference.max_value
+    return MetricsReport(mse=err, psnr_db=10.0 * math.log10(peak * peak / err))
+
+
+def oracle_block_downsample(img: Image, ratio: int) -> Image:
+    """Block means rounded half up, floor(s/r^2 + 1/2), from whole-image
+    int64 block sums."""
+    h, w = img.height, img.width
+    sums = img.pixels.astype(np.int64).reshape(h // ratio, ratio, w // ratio, ratio).sum(axis=(1, 3))
+    denom = ratio * ratio
+    return Image((2 * sums + denom) // (2 * denom), img.max_value)

@@ -1,5 +1,8 @@
 """Benchmark harness: row coverage, CSV/markdown layout, determinism."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from nnvresize import (
     run_benchmark,
     time_resample,
 )
-from nnvresize.bench import CSV_HEADER
+from nnvresize.bench import CSV_HEADER, BenchRow
 
 from conftest import random_image
 
@@ -100,6 +103,25 @@ class TestCsv:
             psnr_field = line.split(",")[3]
             if psnr_field != "undefined":
                 assert len(psnr_field.split(".")[1]) == 4
+
+    def test_carriage_return_in_a_name_reads_back_as_one_row(self):
+        rows = [
+            BenchRow("plain", "nn", 2, 31.25, 48.5, 0.001),
+            BenchRow("carriage\rreturn", "nnv", 2, None, 0.0, 0.002),
+            BenchRow("a,b", "bicubic", 4, 28.0, 103.0625, 0.003),
+            BenchRow("line\nbreak", "nn", 4, 27.5, 115.0, 0.004),
+        ]
+        text = rows_to_csv(rows)
+        read = list(csv.DictReader(io.StringIO(text, newline="")))
+        assert [(r["image"], r["method"], r["ratio"], r["psnr_db"], r["mse"]) for r in read] == [
+            ("plain", "nn", "2", "31.2500", "48.500000"),
+            ("carriage\rreturn", "nnv", "2", "undefined", "0.000000"),
+            ("a,b", "bicubic", "4", "28.0000", "103.062500"),
+            ("line\nbreak", "nn", "4", "27.5000", "115.000000"),
+        ]
+        # every other row keeps its bytes, LF-terminated
+        assert text.startswith(CSV_HEADER + "\nplain,nn,2,31.2500,48.500000,0.001000\n")
+        assert text.endswith('\n"a,b",bicubic,4,28.0000,103.062500,0.003000\n"line\nbreak",nn,4,27.5000,115.000000,0.004000\n')
 
     def test_undefined_psnr_spelled_out(self):
         flat = [("flat", Image(np.full((4, 4), 1, dtype=np.uint8)))]

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through main()."""
 
+import argparse
 import csv
 import re
 from unittest import mock
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from nnvresize import Image, load_pgm, read_pgm, resample, save_pgm, write_pgm
+from nnvresize import cli
 from nnvresize.cli import main
 
 from conftest import random_image
@@ -238,3 +240,40 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code != 0
+
+
+def test_successive_calls_parse_as_a_fresh_parser_would(tmp_path, source_pgm, capsys):
+    # main builds its parser once per process, so each call must parse,
+    # defaults included, and fail exactly as a freshly built parser does
+    images = tmp_path / "imgs"
+    images.mkdir()
+    write_pgm(images / "a.pgm", read_pgm(source_pgm))
+    argvs = [
+        ["scale", str(source_pgm), str(tmp_path / "up.pgm"), "--ratio", "3"],
+        ["metrics", str(source_pgm), str(source_pgm)],
+        ["bench", str(images), "--csv", str(tmp_path / "bench.csv")],
+    ]
+    bad = ["scale", str(source_pgm), str(tmp_path / "bad.pgm"), "--ratio", "0"]
+    seen = []
+    recording = {name: (lambda args, fn=fn: seen.append(args) or fn(args)) for name, fn in cli._COMMANDS.items()}
+    assert main(argvs[1]) == 0  # the parser now exists
+    capsys.readouterr()
+    with mock.patch.dict(cli._COMMANDS, recording), mock.patch.object(
+        cli, "build_parser", side_effect=AssertionError("parser rebuilt")
+    ):
+        assert [main(argv) for argv in argvs] == [0, 0, 0]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as shared:
+            main(bad)
+        shared_err = capsys.readouterr().err
+
+    assert seen == [cli.build_parser().parse_args(argv) for argv in argvs]
+    assert (seen[2].ratios, seen[2].repeats, seen[2].methods) == ([2, 4], 5, "nn,bilinear,bicubic,nnv")
+    with open(tmp_path / "bench.csv", newline="", encoding="utf-8") as fh:
+        assert len(list(csv.DictReader(fh))) == 2 * 4
+    with pytest.raises(SystemExit) as fresh:
+        cli.build_parser().parse_args(bad)
+    assert shared.value.code == fresh.value.code == 2
+    assert shared_err == capsys.readouterr().err
+    assert "must be >= 1, got 0" in shared_err
+    assert not (tmp_path / "bad.pgm").exists()

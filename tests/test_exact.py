@@ -6,17 +6,14 @@ with fractions.Fraction and shares no code with the package. Of ratios
 where float arithmetic breaks round-half-up and first-minimum ties.
 """
 
-from contextlib import contextmanager
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnvresize import Image, get_resampler, resample
+from nnvresize import Image, get_resampler
 
-from conftest import random_image
+from conftest import band_bytes, random_image
 from refimpl import cell_values, exact_pixel, exact_resample
 
 METHODS = ("nn", "bilinear", "bicubic", "nnv")
@@ -35,14 +32,6 @@ TIE_CELLS = (Image([[6, 1], [7, 2]], 7), Image([[1, 7], [2, 3]], 7))
 # values overshoot [0, 255] on both sides from ratio 2 up, and a flat 255,
 # where every numerator takes its largest value
 EXTREMES = (Image([[0, 255, 0], [255, 0, 255], [0, 255, 0]]), Image([[255] * 3] * 2))
-
-
-@contextmanager
-def band_bytes(budget):
-    """Run the resamplers with a band budget of ``budget`` output bytes;
-    1 makes every source row its own band."""
-    with mock.patch.object(resample, "_BAND_BYTES", budget):
-        yield
 
 
 def seeded_images(ratio):

@@ -7,7 +7,7 @@ import pytest
 
 from nnvresize import Image, PgmError, block_downsample, load_pgm, save_pgm
 
-from conftest import random_image
+from conftest import random_image, traced_peak
 
 
 class TestImage:
@@ -129,6 +129,18 @@ class TestLoadPgm:
     def test_p2_comment_at_eof_gives_same_image(self, comment):
         assert load_pgm(b"P2 2 1 255\n9 8" + comment) == load_pgm(b"P2 2 1 255\n9 8")
         assert load_pgm(b"P2 2 1 255\n9" + comment + b"\r8") == load_pgm(b"P2 2 1 255\n9 8")
+
+    def test_p5_raster_is_not_copied(self, rng):
+        # the pixels are a view of the raster in the input bytes
+        data = save_pgm(random_image(rng, 1024, 1024))
+        peak, img = traced_peak(load_pgm, data)
+        assert peak < 16 * 1024, peak
+        assert img == load_pgm(bytearray(data))
+
+    @pytest.mark.parametrize("tail, got", [(b"", 0), (b"\n", 0), (b"\n\x01", 1), (b"\n\x01\x02\x03", 3)])
+    def test_truncated_p5_raster_reports_bytes_present(self, tail, got):
+        with pytest.raises(PgmError, match=rf"truncated pixel data: expected 4 bytes, got {got}$"):
+            load_pgm(b"P5 2 2 255" + tail)
 
     def test_header_comment_at_eof_is_truncated_header(self):
         with pytest.raises(PgmError, match="truncated header"):

@@ -1,0 +1,140 @@
+"""mse, psnr and block_downsample against whole-image int64 oracles.
+
+The package walks images in row bands of narrow integers; the oracles in
+refimpl widen the whole image to int64 at once. Block sums of 8-bit
+values move from int16 to int32 between ratios 11 and 12.
+"""
+
+from contextlib import nullcontext
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nnvresize import Image, block_downsample, mse, psnr
+
+from conftest import band_bytes, random_image, traced_peak
+from refimpl import oracle_block_downsample, oracle_mse, oracle_psnr
+
+MAX_VALUES = (1, 15, 255)
+RATIOS = range(1, 17)
+# the default budget, and one row (mse) or one block row (block_downsample)
+# per band
+BUDGETS = (None, 1)
+
+
+def budget(value):
+    return nullcontext() if value is None else band_bytes(value)
+
+
+def images(rng, width, height, max_value):
+    """A seeded random image, and the flat images at 0 and at max_value,
+    where sums and squares take their extremes."""
+    return [
+        random_image(rng, width, height, max_value),
+        Image(np.zeros((height, width), dtype=np.uint8), max_value),
+        Image(np.full((height, width), max_value, dtype=np.uint8), max_value),
+    ]
+
+
+def assert_downsample_exact(img, ratio):
+    got, want = block_downsample(img, ratio), oracle_block_downsample(img, ratio)
+    assert got == want, f"{int(np.count_nonzero(got.pixels != want.pixels))} pixels differ at ratio {ratio}"
+
+
+def assert_metrics_exact(a, b):
+    assert mse(a, b) == oracle_mse(a, b)
+    assert psnr(a, b) == oracle_psnr(a, b)
+
+
+@pytest.mark.parametrize("band", BUDGETS, ids=("default", "one-row"))
+@pytest.mark.parametrize("max_value", MAX_VALUES)
+@pytest.mark.parametrize("ratio", RATIOS)
+def test_block_downsample_matches_oracle(ratio, max_value, band):
+    rng = np.random.default_rng(100 * ratio + max_value)
+    with budget(band):
+        for img in images(rng, 5 * ratio, 3 * ratio, max_value):
+            assert_downsample_exact(img, ratio)
+        # a ratio equal to the width: one output column
+        assert_downsample_exact(random_image(rng, ratio, 2 * ratio, max_value), ratio)
+
+
+@pytest.mark.parametrize("band", BUDGETS, ids=("default", "one-row"))
+def test_block_downsample_ratio_equal_to_a_wide_width(band):
+    rng = np.random.default_rng(96)
+    with budget(band):
+        for img in images(rng, 96, 192, 255):
+            assert_downsample_exact(img, 96)
+
+
+@pytest.mark.parametrize("ratio", (2, 3, 12))
+def test_block_downsample_matches_oracle_across_default_bands(ratio):
+    # at the default budget a 1536-wide source runs as several bands, the
+    # last one shorter
+    img = random_image(np.random.default_rng(ratio), 1536, 100 * ratio)
+    assert_downsample_exact(img, ratio)
+
+
+@pytest.mark.parametrize("band", BUDGETS, ids=("default", "one-row"))
+@pytest.mark.parametrize("max_value", MAX_VALUES)
+def test_metrics_match_oracle(max_value, band):
+    rng = np.random.default_rng(7 + max_value)
+    with budget(band):
+        for width, height in ((1, 1), (7, 5), (1, 33), (64, 48)):
+            a, zero, full = images(rng, width, height, max_value)
+            b = random_image(rng, width, height, max_value)
+            for x, y in ((a, b), (zero, full), (full, zero), (a, a), (a, zero)):
+                assert_metrics_exact(x, y)
+
+
+def test_metrics_match_oracle_across_default_bands():
+    # at the default budget a 512-wide image runs in bands of 128 rows; 300
+    # rows leave a shorter last band
+    rng = np.random.default_rng(300)
+    a, b = random_image(rng, 512, 300), random_image(rng, 512, 300)
+    assert_metrics_exact(a, b)
+    zero = Image(np.zeros((300, 512), dtype=np.uint8))
+    full = Image(np.full((300, 512), 255, dtype=np.uint8))
+    assert mse(zero, full) == oracle_mse(zero, full) == 255.0 * 255.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ratio=st.integers(1, 16),
+    blocks=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    max_value=st.sampled_from(MAX_VALUES),
+    seed=st.integers(0, 2**32 - 1),
+    band=st.sampled_from(BUDGETS),
+)
+def test_reductions_match_oracles_property(ratio, blocks, max_value, seed, band):
+    rng = np.random.default_rng(seed)
+    width, height = blocks[0] * ratio, blocks[1] * ratio
+    a, b = random_image(rng, width, height, max_value), random_image(rng, width, height, max_value)
+    with budget(band):
+        assert_downsample_exact(a, ratio)
+        assert_metrics_exact(a, b)
+
+
+@pytest.mark.parametrize("fn", (mse, psnr), ids=lambda f: f.__name__)
+def test_metrics_peak_memory_flat_in_height(fn):
+    # a band's int16 difference and int32 square are the same size for a
+    # 256-row and a 2048-row image
+    rng = np.random.default_rng(2048)
+    short, tall = (
+        traced_peak(fn, random_image(rng, 256, height), random_image(rng, 256, height))[0]
+        for height in (256, 2048)
+    )
+    assert tall - short <= 16 * 1024, f"{tall - short} bytes more for an 8x taller image"
+
+
+def test_block_downsample_peak_memory_flat_in_height():
+    # an image 8x taller costs only its extra output rows: the band's row
+    # and block sums are the same size
+    rng = np.random.default_rng(2048)
+    (short, short_out), (tall, tall_out) = (
+        traced_peak(block_downsample, random_image(rng, 256, height), 2) for height in (256, 2048)
+    )
+    growth = tall - short
+    extra_output = tall_out.pixels.nbytes - short_out.pixels.nbytes
+    assert growth <= extra_output + 16 * 1024, f"{growth - extra_output} bytes beyond the extra output"

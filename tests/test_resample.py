@@ -11,7 +11,7 @@ import pytest
 from nnvresize import Image, nnv, resample, resample_bicubic, resample_bilinear, resample_nn, resample_nnv
 from nnvresize.resample import _cubic_weights, _vertical_half_up
 
-from conftest import random_image
+from conftest import random_image, traced_peak
 from refimpl import exact_resample
 
 ALL_METHODS = (resample_nn, resample_bilinear, resample_bicubic)
@@ -233,18 +233,6 @@ class TestSharedProperties:
         assert method(img, np.int64(2)) == method(img, 2)
 
 
-def traced_peak(method, img, ratio):
-    """(tracemalloc peak of one call, in bytes; the output's bytes)."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = method(img, ratio)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    return peak, out.pixels.nbytes
-
-
 # tracemalloc peak of one ratio-4 call on a seeded 256x256 image (two
 # bands), in output bytes: the measured peak (1.19, 1.85, 2.61 and 3.08)
 # plus a margin small enough that a second vertical pass per band, as
@@ -255,8 +243,8 @@ PEAK_BOUNDS = {resample_nn: 1.5, resample_bilinear: 1.95, resample_bicubic: 2.7,
 @pytest.mark.parametrize("method", PEAK_BOUNDS, ids=lambda f: f.__name__)
 def test_peak_memory_bounded(method):
     img = random_image(np.random.default_rng(256), 256, 256)
-    peak, out_bytes = traced_peak(method, img, 4)
-    assert peak <= PEAK_BOUNDS[method] * out_bytes
+    peak, out = traced_peak(method, img, 4)
+    assert peak <= PEAK_BOUNDS[method] * out.pixels.nbytes
 
 
 @pytest.mark.parametrize("method", PEAK_BOUNDS, ids=lambda f: f.__name__)
@@ -265,9 +253,11 @@ def test_peak_memory_flat_in_height(method):
     # the padded uint8 source (at most 3 columns of padding, for bicubic):
     # every other temporary is the size of a band
     rng = np.random.default_rng(2048)
-    short, tall = (traced_peak(method, random_image(rng, 256, height), 4) for height in (256, 2048))
+    (short, short_out), (tall, tall_out) = (
+        traced_peak(method, random_image(rng, 256, height), 4) for height in (256, 2048)
+    )
     padded_growth = (2048 - 256) * (256 + 3)
-    growth = (tall[0] - tall[1]) - (short[0] - short[1])
+    growth = (tall - short) - (tall_out.pixels.nbytes - short_out.pixels.nbytes)
     assert growth <= padded_growth + 16 * 1024, f"{growth} bytes beyond the output"
 
 
