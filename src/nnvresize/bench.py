@@ -78,7 +78,7 @@ def time_resample(
 
 
 def run_benchmark(
-    originals: Sequence[tuple[str, Image]],
+    originals: Iterable[tuple[str, Image]],
     ratios: Iterable[int],
     methods: Sequence[str] = METHOD_ORDER,
     repeats: int = 5,
@@ -86,13 +86,12 @@ def run_benchmark(
     """Full cross product: for every original and ratio, downsample by the
     ratio, upscale back with every method, and score against the original.
 
-    Rows come out in (image, ratio, method) order. Methods run
-    sequentially so their timings do not contaminate each other.
+    ``originals`` is iterated once, one original at a time, after ratios
+    and methods are checked. Rows come out in (image, ratio, method)
+    order. Methods run sequentially so their timings do not contaminate
+    each other.
     """
-    originals = list(originals)
     ratios = list(ratios)
-    if not originals:
-        raise ValueError("no input images")
     if not ratios:
         raise ValueError("no ratios requested")
     resamplers = [(m, get_resampler(m)) for m in methods]
@@ -116,6 +115,8 @@ def run_benchmark(
                         wall_time_s=wall,
                     )
                 )
+    if not rows:
+        raise ValueError("no input images")
     return BenchReport(rows=tuple(rows), environment=describe_environment())
 
 

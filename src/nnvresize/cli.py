@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 
@@ -63,22 +62,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process: building it costs about a
-    millisecond, and parse_args leaves no state in it between calls."""
-    return build_parser()
+# the one parser of this process: parse_args leaves no state in it
+_PARSER = build_parser()
 
 
-def cmd_scale(args) -> int:
+def _resize(args, transform, label: str) -> int:
     img = read_pgm(args.input)
-    out = get_resampler(args.method)(img, args.ratio)
+    out = transform(img, args.ratio)
     write_pgm(args.output, out)
     print(
         f"{args.input} {img.width}x{img.height} -> {args.output} "
-        f"{out.width}x{out.height} [{args.method}, ratio {args.ratio}]"
+        f"{out.width}x{out.height} [{label}, ratio {args.ratio}]"
     )
     return 0
+
+
+def cmd_scale(args) -> int:
+    return _resize(args, get_resampler(args.method), args.method)
 
 
 def cmd_metrics(args) -> int:
@@ -94,14 +94,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_downsample(args) -> int:
-    img = read_pgm(args.input)
-    out = block_downsample(img, args.ratio)
-    write_pgm(args.output, out)
-    print(
-        f"{args.input} {img.width}x{img.height} -> {args.output} "
-        f"{out.width}x{out.height} [block mean, ratio {args.ratio}]"
-    )
-    return 0
+    return _resize(args, block_downsample, "block mean")
 
 
 def cmd_bench(args) -> int:
@@ -109,7 +102,7 @@ def cmd_bench(args) -> int:
     paths = sorted(directory.glob("*.pgm"))
     if not paths:
         raise ValueError(f"no .pgm files found in {directory}")
-    originals = [(path.stem, read_pgm(path)) for path in paths]
+    originals = ((path.stem, read_pgm(path)) for path in paths)
     methods = [m for m in args.methods.split(",") if m]
     report = run_benchmark(originals, args.ratios, methods, repeats=args.repeats)
 
@@ -131,7 +124,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (PgmError, ValueError, OSError) as exc:

@@ -54,9 +54,12 @@ class Image:
         if not _is_integer(max_value) or not 1 <= max_value <= 255:
             raise ValueError(f"max_value must be an integer in [1, 255], got {max_value!r}")
         max_value = int(max_value)
-        lo, hi = int(arr.min()), int(arr.max())
-        if lo < 0 or hi > max_value:
-            raise ValueError(f"pixel values [{lo}, {hi}] fall outside [0, {max_value}]")
+        # scan only a dtype that can hold values outside [0, max_value]
+        info = np.iinfo(arr.dtype)
+        if info.min < 0 or info.max > max_value:
+            lo, hi = int(arr.min()), int(arr.max())
+            if lo < 0 or hi > max_value:
+                raise ValueError(f"pixel values [{lo}, {hi}] fall outside [0, {max_value}]")
         packed = np.ascontiguousarray(arr, dtype=np.uint8)
         packed.setflags(write=False)
         self._pixels = packed
@@ -189,9 +192,11 @@ def load_pgm(data: bytes) -> Image:
             raise PgmError(f"truncated pixel data: expected {count} samples, got {len(samples)}")
         arr = samples.reshape(height, width)
 
-    if int(arr.max()) > maxval or int(arr.min()) < 0:
-        raise PgmError(f"sample value outside [0, {maxval}]")
-    return Image(arr, maxval)
+    # the header checks leave Image only the sample range to refuse
+    try:
+        return Image(arr, maxval)
+    except ValueError:
+        raise PgmError(f"sample value outside [0, {maxval}]") from None
 
 
 def save_pgm(img: Image) -> bytes:

@@ -63,6 +63,23 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark([], ratios=[2])
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"ratios": []}, "^no ratios requested$"),
+            ({"ratios": [2], "methods": ()}, "^no methods requested$"),
+            ({"ratios": [2], "methods": ("nn", "lanczos")}, "^unknown method 'lanczos'"),
+        ],
+        ids=["no-ratios", "no-methods", "unknown-method"],
+    )
+    def test_rejects_bad_arguments_before_reading_an_original(self, kwargs, message):
+        def originals():
+            pytest.fail("an original was read before the arguments were checked")
+            yield
+
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(originals(), **kwargs)
+
     def test_rejects_indivisible_dimensions(self, rng):
         with pytest.raises(ValueError, match="divisible"):
             run_benchmark([("odd", random_image(rng, 9, 9))], ratios=[2], repeats=1)

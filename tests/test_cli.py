@@ -2,7 +2,11 @@
 
 import argparse
 import csv
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,7 +16,10 @@ from nnvresize import Image, load_pgm, read_pgm, resample, save_pgm, write_pgm
 from nnvresize import cli
 from nnvresize.cli import main
 
-from conftest import random_image
+from conftest import random_image, traced_peak
+
+# the source tree of the package under test, for a child interpreter
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -27,9 +34,21 @@ class TestScale:
         out_path = tmp_path / "out.pgm"
         code = main(["scale", str(source_pgm), str(out_path), "--method", "nnv", "--ratio", "4"])
         assert code == 0
-        assert "8x8" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"{source_pgm} 8x8 -> {out_path} 32x32 [nnv, ratio 4]\n"
         out = read_pgm(out_path)
         assert (out.width, out.height) == (32, 32)
+
+    def test_module_entry_point_matches_main(self, tmp_path, source_pgm, capsys):
+        argv = ["scale", str(source_pgm), str(tmp_path / "main.pgm"), "--method", "bicubic", "--ratio", "3"]
+        assert main(argv) == 0
+        line = capsys.readouterr().out
+        argv[2] = str(tmp_path / "module.pgm")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nnvresize", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, line.replace("main.pgm", "module.pgm"), "")
+        assert (tmp_path / "module.pgm").read_bytes() == (tmp_path / "main.pgm").read_bytes()
 
     @pytest.mark.parametrize("method", ["nn", "bilinear", "bicubic", "nnv"])
     def test_all_methods_run(self, tmp_path, source_pgm, method):
@@ -106,6 +125,7 @@ class TestDownsample:
         out_path = tmp_path / "small.pgm"
         assert main(["downsample", str(source_pgm), str(out_path), "--ratio", "2"]) == 0
         assert read_pgm(out_path).width == 4
+        assert capsys.readouterr().out == f"{source_pgm} 8x8 -> {out_path} 4x4 [block mean, ratio 2]\n"
 
     def test_block_mean_value(self, tmp_path):
         src = tmp_path / "quad.pgm"
@@ -221,6 +241,34 @@ class TestBench:
         assert all(len(re.split(r"(?<!\\)\|", line)) == 2 + 9 for line in table)
         for cell in (r"| x\|y |", "| line break |"):
             assert any(line.startswith(cell) for line in table[2:]), cell
+
+    def test_holds_one_original_at_a_time(self, tmp_path, rng):
+        # eight originals may peak above two only by their rows and names,
+        # not by the 64 KiB of each original held at once
+        def bench_peak(count):
+            d = tmp_path / f"imgs{count}"
+            d.mkdir()
+            for i in range(count):
+                write_pgm(d / f"{i}.pgm", random_image(rng, 256, 256))
+            argv = ["bench", str(d), "--ratios", "2", "--methods", "nn", "--repeats", "1", "--csv", str(d / "out.csv")]
+            peak, code = traced_peak(main, argv)
+            assert code == 0
+            return peak
+
+        two, eight = bench_peak(2), bench_peak(8)
+        assert eight - two <= 32 * 1024, (two, eight)
+
+    def test_unreadable_later_original_writes_nothing(self, tmp_path, rng, capsys):
+        d = tmp_path / "imgs"
+        d.mkdir()
+        write_pgm(d / "a.pgm", random_image(rng, 8, 8))
+        (d / "b.pgm").write_bytes(b"P5 8 8 255\n" + bytes(10))
+        csv_path, md_path = tmp_path / "bench.csv", tmp_path / "bench.md"
+        argv = ["bench", str(d), "--ratios", "2", "--csv", str(csv_path), "--markdown", str(md_path), "--repeats", "1"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: truncated pixel data: expected 64 bytes, got 10\n")
+        assert not csv_path.exists() and not md_path.exists()
 
     def test_empty_directory_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -40,6 +40,21 @@ class TestImage:
         with pytest.raises(ValueError):
             Image(np.array([[-1]]))
 
+    @pytest.mark.parametrize(
+        "pixels, max_value, message",
+        [
+            (np.array([[7, 101]], dtype=np.uint8), 100, "pixel values [7, 101] fall outside [0, 100]"),
+            (np.array([[300, 2]], dtype=np.uint16), 255, "pixel values [2, 300] fall outside [0, 255]"),
+            (np.array([[-1, 5]], dtype=np.int8), 255, "pixel values [-1, 5] fall outside [0, 255]"),
+        ],
+        ids=["uint8-above-100", "uint16-above-255", "int8-negative"],
+    )
+    def test_out_of_range_array_reports_its_span(self, pixels, max_value, message):
+        # arrays whose dtype can leave [0, max_value] are scanned, whatever the dtype
+        with pytest.raises(ValueError) as excinfo:
+            Image(pixels, max_value)
+        assert str(excinfo.value) == message
+
     def test_non_integer_pixels_rejected(self):
         with pytest.raises(TypeError):
             Image(np.zeros((2, 2)))
@@ -111,6 +126,16 @@ class TestLoadPgm:
         # beyond int64 it once escaped as OverflowError, past the CLI's handler
         with pytest.raises(PgmError, match=r"sample value outside \[0, 255\]"):
             load_pgm(b"P2 1 1 255 99999999999999999999")
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P5 2 1 100\n\x64\x65", b"P2 2 1 100 7 99999999999999999999", b"P2 1 1 100 -99999999999999999999"],
+        ids=["p5-byte-101", "p2-beyond-int64", "p2-below-int64"],
+    )
+    def test_sample_out_of_range_at_maxval_100(self, data):
+        with pytest.raises(PgmError) as excinfo:
+            load_pgm(data)
+        assert str(excinfo.value) == "sample value outside [0, 100]"
 
     @pytest.mark.parametrize(
         "header",
