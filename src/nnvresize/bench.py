@@ -105,16 +105,9 @@ def run_benchmark(
             for method, fn in resamplers:
                 upscaled, wall = time_resample(fn, small, ratio, repeats)
                 report = psnr(img, upscaled)
-                rows.append(
-                    BenchRow(
-                        image_name=name,
-                        method=method,
-                        ratio=ratio,
-                        psnr_db=report.psnr_db,
-                        mse=report.mse,
-                        wall_time_s=wall,
-                    )
-                )
+                rows.append(BenchRow(name, method, ratio, report.psnr_db, report.mse, wall))
+        # free this original's arrays before the next one is drawn and decoded
+        del img, small, upscaled, report
     if not rows:
         raise ValueError("no input images")
     return BenchReport(rows=tuple(rows), environment=describe_environment())

@@ -7,12 +7,15 @@ import sys
 from pathlib import Path
 
 from .bench import METHOD_ORDER, RESAMPLERS, get_resampler, report_markdown, rows_to_csv, run_benchmark
-from .image import PgmError, block_downsample, read_pgm, write_pgm
+from .image import block_downsample, read_pgm, write_pgm
 from .metrics import psnr
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -127,7 +130,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (PgmError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

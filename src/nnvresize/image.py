@@ -14,7 +14,8 @@ _DIGITS = b"0123456789"
 _COMMENT = re.compile(rb"#[^\r\n]*")
 # whitespace and comments, then the token they precede (empty at the end)
 _TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]+|" + _COMMENT.pattern + rb")*([^ \t\n\r\x0b\x0c#]*)")
-# what int() accepts in a token: optional sign, digits, single underscores
+# what int() accepts in a token: optional sign, digits, single underscores;
+# int() itself refuses more than sys.get_int_max_str_digits() digits
 _SAMPLE = re.compile(rb"[+-]?[0-9](?:_?[0-9])*")
 
 # bytes of work per band: small enough that a band's temporaries stay in

@@ -28,12 +28,11 @@ def _nnv(band: np.ndarray, ratio: int, max_value: int):
         keys[lo], keys[hi] = np.minimum(keys[lo], keys[hi]), np.maximum(keys[lo], keys[hi])
     values = [(key >> 2).astype(np.uint8) for key in keys]
     e1, e2, e3 = (lo == hi for lo, hi in zip(values, values[1:]))
-    # only patterns 1+1+1+1 and 2+2 lack a unique mode; a mode cell is
-    # made flat, so it has no gaps and keeps its mode
+    # only patterns 1+1+1+1 and 2+2 lack a unique mode; a mode cell starts
+    # at its mode, s1, or s2 when s2 = s3 is its only pair, and has no gaps
     has_mode = e2 | (e1 != e3)
-    mode = np.where(e1 | e2, values[1], values[2])
-    values = [np.where(has_mode, mode, v) for v in values]
-    gaps = [hi - lo for lo, hi in zip(values, values[1:])]
+    base = np.where(has_mode, np.where(e1 | e2, values[1], values[2]), values[0])
+    gaps = [(hi - lo) * ~has_mode for lo, hi in zip(values, values[1:])]
     # a midpoint tie goes up when the upper value's first position is the
     # lower one: s_n+1 holds the upper value's, and s_n the lower value's,
     # except that s0 holds it in the middle of a 2+2 cell
@@ -47,7 +46,7 @@ def _nnv(band: np.ndarray, ratio: int, max_value: int):
     passed = np.empty(planes.shape, bool)
     raised = np.empty(planes.shape, np.uint8)
     for i in range(ratio):
-        planes[...] = values[0]
+        planes[...] = base
         for t, gap in zip(thresholds, gaps):
             np.greater(half_up, t, out=passed)
             np.multiply(passed, gap, out=raised)
@@ -67,14 +66,13 @@ def resample_nnv(img: Image, ratio: int) -> Image:
     at a time. Its four keys are value * 4 + the position in A/K/P/G order
     (top-left, top-right, bottom-left, bottom-right), so equal values sit
     next to each other in sorted order, first position first, and the mode
-    census reads off equal neighbors. A mode cell's values all become its
-    mode. At offset (i/ratio, j/ratio) the bilinear value is N / ratio**2;
-    2N + ratio**2, the sum resample_bilinear floor-divides by 2 * ratio**2
-    (one vertical pass per band, one add per column phase), picks the
-    sorted value past as many of the doubled midpoints plus offset,
-    ratio**2 * (v_n + v_n+1 + 1), as it exceeds. A midpoint tie goes to
-    the value whose first position is lower. The thresholds never
-    decrease, so the passed ones form a prefix, and each column phase of
-    the output costs one add and three comparisons.
+    census reads off equal neighbors. A mode cell's base is its mode and
+    its steps are zero; any other's base is its lowest value. At offset
+    (i/ratio, j/ratio) the bilinear value is N / ratio**2; 2N + ratio**2,
+    the sum resample_bilinear floor-divides by 2 * ratio**2, takes one
+    step per doubled midpoint plus offset, ratio**2 * (v_n + v_n+1 + 1),
+    that it exceeds, a tie going to the value whose first position is
+    lower. The thresholds never decrease, so the steps taken land on a
+    sorted value; a column phase costs one add and three comparisons.
     """
     return _banded(img, ratio, 0, 1, _nnv)

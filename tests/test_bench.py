@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,23 @@ class TestRunBenchmark:
     def test_timing_is_nonnegative(self, originals):
         report = run_benchmark(originals, ratios=[2], repeats=3)
         assert all(r.wall_time_s >= 0.0 for r in report.rows)
+
+    def test_releases_each_original_before_drawing_the_next(self, rng):
+        # an original and its downsampled and upscaled copies are 144 KiB
+        # at 256x256; later draws may sit above the first only by rows
+        traced = []
+
+        def originals():
+            for i in range(3):
+                traced.append(tracemalloc.get_traced_memory()[0])
+                yield str(i), random_image(rng, 256, 256)
+
+        tracemalloc.start()
+        try:
+            run_benchmark(originals(), ratios=[2], methods=("nn", "nnv"), repeats=1)
+        finally:
+            tracemalloc.stop()
+        assert max(traced[1:]) - traced[0] <= 32 * 1024, traced
 
 
 class TestTimeResample:

@@ -66,6 +66,13 @@ class TestScale:
             main(["scale", str(source_pgm), str(tmp_path / "x.pgm"), "--method", "foo"])
         assert excinfo.value.code != 0
 
+    def test_non_integer_ratio_is_usage_error(self, tmp_path, source_pgm, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scale", str(source_pgm), str(tmp_path / "x.pgm"), "--ratio", "x"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --ratio: must be an integer >= 1, got 'x'\n"), err
+
     def test_missing_input_fails(self, tmp_path, capsys):
         code = main(["scale", str(tmp_path / "nope.pgm"), str(tmp_path / "out.pgm")])
         assert code == 1
@@ -269,6 +276,14 @@ class TestBench:
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: truncated pixel data: expected 64 bytes, got 10\n")
         assert not csv_path.exists() and not md_path.exists()
+
+    def test_non_integer_ratio_in_list_is_usage_error(self, tmp_path, image_dir, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", str(image_dir), "--ratios", "2,x", "--csv", str(tmp_path / "x.csv")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --ratios: must be an integer >= 1, got 'x'\n"), err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_empty_directory_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"
