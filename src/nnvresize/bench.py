@@ -69,8 +69,9 @@ def time_resample(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     times = []
-    out = img
     for _ in range(repeats):
+        # let the previous output go first, so one output is held at a time
+        out = None
         start = time.perf_counter()
         out = resampler(img, ratio)
         times.append(time.perf_counter() - start)

@@ -200,10 +200,13 @@ def load_pgm(data: bytes) -> Image:
         raise PgmError(f"sample value outside [0, {maxval}]") from None
 
 
+def _p5_header(img: Image) -> bytes:
+    return f"P5\n{img.width} {img.height}\n{img.max_value}\n".encode("ascii")
+
+
 def save_pgm(img: Image) -> bytes:
     """Encode an image as binary P5; load_pgm(save_pgm(img)) == img."""
-    header = f"P5\n{img.width} {img.height}\n{img.max_value}\n".encode("ascii")
-    return header + img.pixels.data
+    return _p5_header(img) + img.pixels.data
 
 
 def read_pgm(path: str | os.PathLike) -> Image:
@@ -212,8 +215,11 @@ def read_pgm(path: str | os.PathLike) -> Image:
 
 
 def write_pgm(path: str | os.PathLike, img: Image) -> None:
+    """Write the bytes of save_pgm(img) without joining them: the header,
+    then the pixel buffer itself."""
     with open(path, "wb") as fh:
-        fh.write(save_pgm(img))
+        fh.write(_p5_header(img))
+        fh.write(img.pixels.data)
 
 
 def _bands(rows: int, row_bytes: int):

@@ -17,7 +17,7 @@ from nnvresize import (
 )
 from nnvresize.bench import CSV_HEADER, BenchRow
 
-from conftest import random_image
+from conftest import random_image, traced_peak
 
 
 @pytest.fixture
@@ -117,6 +117,12 @@ class TestTimeResample:
         out, wall = time_resample(get_resampler("nn"), img, 2, repeats=5)
         assert (out.width, out.height) == (16, 16)
         assert wall >= 0.0
+
+    def test_holds_one_output_across_repeats(self, rng):
+        # each call's output is let go before the next call builds its own
+        img = random_image(rng, 256, 256)
+        once, many = (traced_peak(time_resample, get_resampler("nn"), img, 4, r)[0] for r in (1, 5))
+        assert abs(many - once) <= 0.1 * once, (once, many)
 
     def test_rejects_zero_repeats(self, rng):
         with pytest.raises(ValueError):

@@ -12,11 +12,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from nnvresize import Image, load_pgm, read_pgm, resample, save_pgm, write_pgm
+from nnvresize import Image, get_resampler, load_pgm, read_pgm, resample, save_pgm, write_pgm
 from nnvresize import cli
 from nnvresize.cli import main
 
 from conftest import random_image, traced_peak
+from test_resample import PEAK_BOUNDS
 
 # the source tree of the package under test, for a child interpreter
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -55,6 +56,27 @@ class TestScale:
         out_path = tmp_path / f"{method}.pgm"
         assert main(["scale", str(source_pgm), str(out_path), "--method", method, "--ratio", "2"]) == 0
         assert read_pgm(out_path).width == 16
+
+    @pytest.mark.parametrize("ratio", range(1, 7))
+    @pytest.mark.parametrize("method", ["nn", "bilinear", "bicubic", "nnv"])
+    def test_writes_the_bytes_of_save_pgm(self, tmp_path, rng, method, ratio):
+        src, out_path = tmp_path / "src.pgm", tmp_path / "out.pgm"
+        write_pgm(src, random_image(rng, 7, 5, 200))
+        assert main(["scale", str(src), str(out_path), "--method", method, "--ratio", str(ratio)]) == 0
+        assert out_path.read_bytes() == save_pgm(get_resampler(method)(read_pgm(src), ratio))
+
+    @pytest.mark.parametrize("method", PEAK_BOUNDS, ids=lambda f: f.__name__)
+    def test_peak_is_the_input_file_and_the_resampler(self, tmp_path, method):
+        # beyond the resampler's own peak, scale holds the input file's
+        # bytes; writing the output makes no copy of it
+        src, out_path = tmp_path / "src.pgm", tmp_path / "out.pgm"
+        write_pgm(src, random_image(np.random.default_rng(256), 256, 256))
+        resampler_peak, _ = traced_peak(method, read_pgm(src), 4)
+        argv = ["scale", str(src), str(out_path), "--method", method.__name__.removeprefix("resample_"), "--ratio", "4"]
+        peak, code = traced_peak(main, argv)
+        assert code == 0
+        extra = peak - resampler_peak
+        assert extra <= src.stat().st_size + 16 * 1024, extra
 
     def test_ratio_one_is_byte_identical(self, tmp_path, source_pgm):
         out_path = tmp_path / "copy.pgm"

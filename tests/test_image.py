@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nnvresize import Image, PgmError, block_downsample, load_pgm, save_pgm
+from nnvresize import Image, PgmError, block_downsample, load_pgm, save_pgm, write_pgm
 
 from conftest import random_image, traced_peak
 
@@ -208,6 +208,17 @@ class TestSavePgm:
         p2 = b"P2\n3 1\n255\n5 6 7\n"
         img = load_pgm(p2)
         assert load_pgm(save_pgm(img)) == img
+
+
+class TestWritePgm:
+    @pytest.mark.parametrize("maxval", [1, 100, 255])
+    def test_writes_the_bytes_of_save_pgm_without_a_copy(self, rng, tmp_path, maxval):
+        # the header, then the pixel buffer itself: the raster is not joined
+        path = tmp_path / "out.pgm"
+        img = random_image(rng, 1024, 1024, maxval)
+        peak, _ = traced_peak(write_pgm, path, img)
+        assert peak < 16 * 1024, peak
+        assert path.read_bytes() == save_pgm(img)
 
 
 class TestBlockDownsample:
