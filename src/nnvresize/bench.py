@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .image import Image, block_downsample
+from .image import Image, _check_ratio, block_downsample
 from .metrics import psnr
 from .nnv import resample_nnv
 from .resample import resample_bicubic, resample_bilinear, resample_nn
@@ -61,13 +61,17 @@ def describe_environment() -> str:
     )
 
 
+def _check_repeats(repeats: int) -> None:
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+
+
 def time_resample(
     resampler: Callable[[Image, int], Image], img: Image, ratio: int, repeats: int = 5
 ) -> tuple[Image, float]:
     """Run the resampler repeatedly; return its output and the median
     wall time of the calls alone (no I/O, single thread)."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    _check_repeats(repeats)
     times = []
     for _ in range(repeats):
         # let the previous output go first, so one output is held at a time
@@ -87,17 +91,18 @@ def run_benchmark(
     """Full cross product: for every original and ratio, downsample by the
     ratio, upscale back with every method, and score against the original.
 
-    ``originals`` is iterated once, one original at a time, after ratios
-    and methods are checked. Rows come out in (image, ratio, method)
-    order. Methods run sequentially so their timings do not contaminate
-    each other.
+    ``originals`` is iterated once, one original at a time, after the
+    ratios, methods and repeats are checked. Rows come out in (image,
+    ratio, method) order. Methods run sequentially so their timings do
+    not contaminate each other.
     """
-    ratios = list(ratios)
+    ratios = [_check_ratio(ratio) for ratio in ratios]
     if not ratios:
         raise ValueError("no ratios requested")
     resamplers = [(m, get_resampler(m)) for m in methods]
     if not resamplers:
         raise ValueError("no methods requested")
+    _check_repeats(repeats)
 
     rows = []
     for name, img in originals:
@@ -107,8 +112,10 @@ def run_benchmark(
                 upscaled, wall = time_resample(fn, small, ratio, repeats)
                 report = psnr(img, upscaled)
                 rows.append(BenchRow(name, method, ratio, report.psnr_db, report.mse, wall))
+                # free this output before the next method makes its own
+                del upscaled, report
         # free this original's arrays before the next one is drawn and decoded
-        del img, small, upscaled, report
+        del img, small
     if not rows:
         raise ValueError("no input images")
     return BenchReport(rows=tuple(rows), environment=describe_environment())

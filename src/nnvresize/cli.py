@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import METHOD_ORDER, RESAMPLERS, get_resampler, report_markdown, rows_to_csv, run_benchmark
+from .bench import METHOD_ORDER, RESAMPLERS, report_markdown, rows_to_csv, run_benchmark
 from .image import block_downsample, read_pgm, write_pgm
 from .metrics import psnr
 
@@ -37,15 +37,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale.add_argument("output", help="destination PGM (written as P5)")
     p_scale.add_argument("--method", choices=sorted(RESAMPLERS), default="nnv")
     p_scale.add_argument("--ratio", type=_positive_int, default=2)
+    p_scale.set_defaults(run=cmd_scale)
 
     p_metrics = sub.add_parser("metrics", help="MSE and PSNR between two PGMs")
     p_metrics.add_argument("reference")
     p_metrics.add_argument("test")
+    p_metrics.set_defaults(run=cmd_metrics)
 
     p_down = sub.add_parser("downsample", help="block-average a PGM by an integer ratio")
     p_down.add_argument("input")
     p_down.add_argument("output")
     p_down.add_argument("--ratio", type=_positive_int, default=2)
+    p_down.set_defaults(run=cmd_downsample)
 
     p_bench = sub.add_parser(
         "bench",
@@ -62,11 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--csv", required=True, help="output CSV path")
     p_bench.add_argument("--markdown", help="also write the markdown table here")
     p_bench.add_argument("--repeats", type=_positive_int, default=5, help="timing repetitions (median is reported)")
+    p_bench.set_defaults(run=cmd_bench)
     return parser
-
-
-# the one parser of this process: parse_args leaves no state in it
-_PARSER = build_parser()
 
 
 def _resize(args, transform, label: str) -> int:
@@ -81,7 +81,8 @@ def _resize(args, transform, label: str) -> int:
 
 
 def cmd_scale(args) -> int:
-    return _resize(args, get_resampler(args.method), args.method)
+    # --method's choices have already refused an unknown name
+    return _resize(args, RESAMPLERS[args.method], args.method)
 
 
 def cmd_metrics(args) -> int:
@@ -118,22 +119,14 @@ def cmd_bench(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "scale": cmd_scale,
-    "metrics": cmd_metrics,
-    "downsample": cmd_downsample,
-    "bench": cmd_bench,
-}
+# the one parser of this process: parse_args leaves no state in it
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -39,7 +39,11 @@ class Image:
     """Immutable grayscale raster with an explicit intensity ceiling.
 
     Pixels are stored row-major as uint8; coordinates are (x = column,
-    y = row) with the origin at the top-left corner.
+    y = row) with the origin at the top-left corner. A writable array is
+    copied, so the caller's array stays writable and later writes to it,
+    or to the base it views, do not reach the image. A read-only
+    C-contiguous uint8 array is kept without a copy: the caller promises
+    that nothing writes its memory.
     """
 
     __slots__ = ("_pixels", "_max_value")
@@ -62,6 +66,10 @@ class Image:
             if lo < 0 or hi > max_value:
                 raise ValueError(f"pixel values [{lo}, {hi}] fall outside [0, {max_value}]")
         packed = np.ascontiguousarray(arr, dtype=np.uint8)
+        if packed is arr and packed.flags.writeable:
+            # the caller's own array: freezing it would reach into the
+            # caller, and sharing it would let the caller's writes in
+            packed = packed.copy()
         packed.setflags(write=False)
         self._pixels = packed
         self._max_value = max_value
@@ -282,4 +290,6 @@ def block_downsample(img: Image, ratio: int) -> Image:
         # band's are taken
         band = img.pixels[y0 * ratio : y1 * ratio]
         np.floor_divide(_block_sums_half_up(band, ratio, dtype), denom, out=out[y0:y1], casting="unsafe")
+    # read-only, so Image keeps this array rather than copying it
+    out.setflags(write=False)
     return Image(out, img.max_value)

@@ -65,6 +65,8 @@ def _banded(img: Image, ratio, before: int, after: int, kernel: Kernel) -> Image
             # one copy per column phase keeps the copy's inner loop
             # running along x, not over the phases
             out[y0:y1, :, :, i] = next(phases).transpose(1, 0, 2)
+    # read-only, so Image keeps this array rather than copying it
+    out.setflags(write=False)
     return Image(out.reshape(h * ratio, w * ratio), img.max_value)
 
 

@@ -4,10 +4,8 @@ The PSNR-ordering acceptance check runs against the classic grayscale
 test set (cameraman, girl, house, peppers). Those photographs are not
 redistributable with this package and cannot be fetched in an offline
 environment: drop 512x512 PGM copies named <name>.pgm into a directory
-and point NNV_ORIGINALS_DIR at it to enable the check. Note that
-scikit-image's bundled "camera" image is NOT the classic cameraman (it
-was replaced in scikit-image 0.18), so it is never used as one; it only
-serves as a labeled stand-in where pixel content is irrelevant (timing).
+and point NNV_ORIGINALS_DIR at it to enable the check. Where pixel
+content is irrelevant (timing), a labeled seeded stand-in is used.
 """
 
 import os
@@ -80,11 +78,5 @@ def timing_image():
     nnv sorts every 2x2 cell and compares every output pixel against its
     cell's midpoint thresholds, mode cell or not.
     """
-    try:
-        from skimage import data
-    except ImportError:
-        seeded = np.random.default_rng(512)
-        return "synthetic 512x512 stand-in", Image(
-            seeded.integers(0, 256, size=(512, 512))
-        )
-    return "scikit-image 'camera' stand-in", Image(data.camera())
+    seeded = np.random.default_rng(512)
+    return "synthetic 512x512 stand-in", Image(seeded.integers(0, 256, size=(512, 512)))

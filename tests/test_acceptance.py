@@ -221,7 +221,7 @@ def test_criterion_7_nnv_psnr_beats_nn_and_bilinear(standard_originals):
 def test_criterion_8_nnv_slower_than_nn(standard_originals):
     # nnv does the same work on any content of a given size. When the
     # standard originals are unavailable the protocol runs on a labeled
-    # 512x512 stand-in raster with photographic content.
+    # seeded 512x512 stand-in raster.
     subjects = standard_originals or [timing_image()]
     ordering_ok = True
     details = []

@@ -70,8 +70,12 @@ class TestRunBenchmark:
             ({"ratios": []}, "^no ratios requested$"),
             ({"ratios": [2], "methods": ()}, "^no methods requested$"),
             ({"ratios": [2], "methods": ("nn", "lanczos")}, "^unknown method 'lanczos'"),
+            ({"ratios": [2, 0]}, r"^ratio must be an integer >= 1, got 0$"),
+            ({"ratios": [2.5]}, r"^ratio must be an integer >= 1, got 2\.5$"),
+            ({"ratios": [True]}, r"^ratio must be an integer >= 1, got True$"),
+            ({"ratios": [2], "repeats": 0}, "^repeats must be >= 1$"),
         ],
-        ids=["no-ratios", "no-methods", "unknown-method"],
+        ids=["no-ratios", "no-methods", "unknown-method", "zero-ratio", "fractional-ratio", "bool-ratio", "zero-repeats"],
     )
     def test_rejects_bad_arguments_before_reading_an_original(self, kwargs, message):
         def originals():
@@ -109,6 +113,13 @@ class TestRunBenchmark:
         finally:
             tracemalloc.stop()
         assert max(traced[1:]) - traced[0] <= 32 * 1024, traced
+
+    def test_holds_one_output_across_methods(self, rng):
+        # each method's output is let go before the next method makes its
+        # own, so a second method adds no 1 MiB output to the peak
+        img = random_image(rng, 1024, 1024)
+        one, two = (traced_peak(run_benchmark, [("a", img)], [4], methods, 1)[0] for methods in (("nn",), ("nn", "nn")))
+        assert two <= one + 64 * 1024, (one, two)
 
 
 class TestTimeResample:

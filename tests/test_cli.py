@@ -340,10 +340,11 @@ def test_successive_calls_parse_as_a_fresh_parser_would(tmp_path, source_pgm, ca
     ]
     bad = ["scale", str(source_pgm), str(tmp_path / "bad.pgm"), "--ratio", "0"]
     seen = []
-    recording = {name: (lambda args, fn=fn: seen.append(args) or fn(args)) for name, fn in cli._COMMANDS.items()}
+    parse = cli._PARSER.parse_args
+    recording = lambda argv: seen.append(parse(argv)) or seen[-1]
     assert main(argvs[1]) == 0  # the parser now exists
     capsys.readouterr()
-    with mock.patch.dict(cli._COMMANDS, recording), mock.patch.object(
+    with mock.patch.object(cli._PARSER, "parse_args", recording), mock.patch.object(
         cli, "build_parser", side_effect=AssertionError("parser rebuilt")
     ):
         assert [main(argv) for argv in argvs] == [0, 0, 0]

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nnvresize import Image, PgmError, block_downsample, load_pgm, save_pgm, write_pgm
+from nnvresize import Image, PgmError, block_downsample, load_pgm, resample_bilinear, save_pgm, write_pgm
 
 from conftest import random_image, traced_peak
 
@@ -25,6 +25,29 @@ class TestImage:
         img = Image([[1]])
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 2
+
+    def test_callers_array_stays_writable_and_apart(self):
+        pixels = np.zeros((4, 4), dtype=np.uint8)
+        img = Image(pixels, 1)
+        assert pixels.flags.writeable
+        pixels[:] = 255
+        assert img == Image(np.zeros((4, 4), dtype=np.uint8), 1)
+
+    def test_view_of_a_writable_base_is_not_shared(self):
+        base = np.zeros(16, dtype=np.uint8)
+        img = Image(base.reshape(4, 4), 1)
+        base[:] = 255
+        assert img.pixels.max() == 0
+        assert resample_bilinear(img, 9) == Image(np.zeros((36, 36), dtype=np.uint8), 1)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_grid_must_be_two_dimensional(self, shape):
+        with pytest.raises(ValueError, match=rf"^expected a 2-D pixel grid, got ndim={len(shape)}$"):
+            Image(np.zeros(shape, dtype=np.uint8))
+
+    def test_from_flat_counts_its_values(self):
+        with pytest.raises(ValueError, match=r"^expected 4 values for 2x2, got 3$"):
+            Image.from_flat(2, 2, [1, 2, 3])
 
     def test_value_above_max_rejected(self):
         with pytest.raises(ValueError):

@@ -173,6 +173,14 @@ def test_blank_raster_has_no_samples(data):
     assert_agrees(data)
 
 
+def test_comment_after_maxval_leaves_no_whitespace_before_raster():
+    # the comment ends maxval, and the raster must still follow one whitespace byte
+    data = b"P5 1 1 255#c\n\n\x07"
+    with pytest.raises(PgmError, match=r"^malformed header: missing whitespace before raster$"):
+        load_pgm(data)
+    assert_agrees(data)
+
+
 @pytest.mark.parametrize("body", [b"1 2", b"1 +2"])  # digits-only and token paths
 def test_short_raster_counts_its_samples(body):
     # np.fromstring with count= larger than the data would return garbage
