@@ -21,13 +21,31 @@ _SAMPLE = re.compile(rb"[+-]?[0-9](?:_?[0-9])*")
 # bytes of work per band: small enough that a band's temporaries stay in
 # cache, large enough that a small image runs as one band
 _BAND_BYTES = 512 * 1024
-# a reduction's inputs and temporaries per source pixel, at most: mse
-# reads two uint8 pixels into an int16 difference and its int32 square
+# a reduction's inputs and temporaries per source pixel, rounded up: mse
+# reads two uint8 pixels into a uint8 difference (the larger minus the
+# smaller, one more uint8 temporary) and its uint16 square, 6 bytes, and
+# block_downsample's strided row sums take no more
 _REDUCE_PIXEL_BYTES = 8
 
 
 class PgmError(ValueError):
     """Raised for malformed or unsupported PGM data."""
+
+
+def _nothing_writes(arr: np.ndarray) -> bool:
+    """True when no array can write the memory of ``arr``: it and every
+    array it views are read-only, and the chain ends in no buffer or in a
+    read-only one, such as bytes."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    if arr is None:
+        return True
+    try:
+        return memoryview(arr).readonly
+    except TypeError:
+        return False
 
 
 def _is_integer(value) -> bool:
@@ -66,8 +84,8 @@ class Image:
             if lo < 0 or hi > max_value:
                 raise ValueError(f"pixel values [{lo}, {hi}] fall outside [0, {max_value}]")
         packed = np.ascontiguousarray(arr, dtype=np.uint8)
-        if packed is arr and packed.flags.writeable:
-            # the caller's own array: freezing it would reach into the
+        if packed is arr and not _nothing_writes(packed):
+            # the caller's memory: freezing it would reach into the
             # caller, and sharing it would let the caller's writes in
             packed = packed.copy()
         packed.setflags(write=False)

@@ -27,13 +27,15 @@ def _check_dims(reference: Image, test: Image) -> None:
 
 
 def _sum_of_squares(a: np.ndarray, b: np.ndarray) -> int:
-    """Exact sum of (a - b)**2 over two uint8 arrays: the difference as
-    int16, its square as int32, their sum in int64."""
-    diff = a.astype(np.int16)
-    diff -= b
-    square = diff.astype(np.int32)
+    """Exact sum of (a - b)**2 over two 2-D uint8 arrays: |a - b| as
+    uint8, max - min, its square as uint16, each row's sum in uint32 (in
+    uint64 once a row of 255**2 could reach 2**32), the rows' in uint64."""
+    diff = np.maximum(a, b)
+    diff -= np.minimum(a, b)
+    square = diff.astype(np.uint16)
     square *= square
-    return int(square.sum(dtype=np.int64))
+    row_dtype = np.uint32 if a.shape[1] * 255**2 < 2**32 else np.uint64
+    return int(square.sum(axis=1, dtype=row_dtype).sum(dtype=np.uint64))
 
 
 def mse(reference: Image, test: Image) -> float:

@@ -11,12 +11,22 @@ from __future__ import annotations
 import numpy as np
 
 from .image import Image
-from .resample import _banded, _bilinear_half_up
+from .resample import _banded, _bilinear_weights, _vertical_half_up
 
 
-def _nnv(band: np.ndarray, ratio: int, max_value: int):
+def _bilinear_half_up(band: np.ndarray, ratio: int, max_value: int):
+    """(2N + ratio**2 at column phase 0, its step per column phase) for
+    the bilinear numerator N over ``ratio**2`` of the band's 2x2 cells:
+    with mid = 2V + ratio for the weights (ratio - j, j), phase (j, i) is
+    ratio * mid[j, :, x] + i * (mid[j, :, x + 1] - mid[j, :, x])."""
+    mid = _vertical_half_up(band, _bilinear_weights(ratio), max_value)
+    return ratio * mid[..., :-1], mid[..., 1:] - mid[..., :-1]
+
+
+def _nnv(band: np.ndarray, ratio: int, max_value: int, out: np.ndarray) -> None:
     """Band kernel of NNV over the source padded by one row and column
-    after it."""
+    after it: the cells and thresholds are at source resolution, so it
+    writes one column phase of the output at a time."""
     half_up, step = _bilinear_half_up(band, ratio, max_value)
     a, k, p, g = band[:-1, :-1], band[:-1, 1:], band[1:, :-1], band[1:, 1:]
     # value * 4 + position in A/K/P/G order: equal values sort by position;
@@ -53,7 +63,9 @@ def _nnv(band: np.ndarray, ratio: int, max_value: int):
             planes += raised
         if i == 0:
             planes[0] = a
-        yield planes
+        # one copy per column phase keeps the copy's inner loop running
+        # along x, not over the phases
+        out[:, :, :, i] = planes.transpose(1, 0, 2)
         half_up += step
 
 

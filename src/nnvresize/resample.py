@@ -10,20 +10,22 @@ At an integer ratio r every sub-pixel offset is i/r, so output pixel
 edge-padded source around (y, x). Every resampler, NNV included, runs
 through one band loop, _banded: it pads the source once, as uint8, and
 walks it in bands of source rows [y0, y1) that hold about
-image._BAND_BYTES of output each. Per band, a method's band kernel, a
-generator, gets the padded rows its taps reach and yields, one column
-phase i at a time, the r row phases of output rows [y0*r, y1*r) for
-out[y0*r:y1*r, i::r]. Taps are weighed with integers over a power of r,
-rounding offset folded in, in one vertical pass, _vertical_half_up, per
-band: bilinear and NNV step its result across column phases (bilinear
-floor-divides the very sum NNV compares), bicubic weighs four of its
-columns. Every value is exact at every ratio, and each method's
-temporaries are the size of a band.
+image._BAND_BYTES of output each. Per band, a method's band kernel gets
+the padded rows its taps reach and the (y1 - y0, r, width, r) view of
+output rows [y0*r, y1*r), and writes each byte of that view once.
+Taps are weighed with integers over a power of r, rounding offset folded
+in. The three kernels here run their horizontal pass first, at source
+height, into rows whose column phases are interleaved as in the output,
+the one strided write; their vertical pass then writes each row phase as
+finished uint8 output rows. NNV runs the bilinear passes the other way
+round, as its cells live at source resolution. One type rule,
+_half_up_dtype, serves both directions. Every value is exact at every
+ratio, and each method's temporaries are the size of a band.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -32,12 +34,11 @@ from .image import Image, _bands, _check_ratio, _int_dtype
 # the largest output, in pixels, a resampler will allocate
 _MAX_OUTPUT_PIXELS = 2**31
 
-# kernel(band, ratio, max_value) yields the column phases i = 0..ratio-1
-# in order; band holds the padded source rows [y0, y1 + before + after)
-# and phase i is a (ratio, y1 - y0, width) array whose [j, y, x] entry is
-# output pixel ((y0 + y)*ratio + j, x*ratio + i). A kernel may reuse one
-# buffer for its phases, so each is read before the next is asked for.
-Kernel = Callable[[np.ndarray, int, int], Iterator[np.ndarray]]
+# kernel(band, ratio, max_value, out) writes one band's output: band holds
+# the padded source rows [y0, y1 + before + after), and out is the
+# (y1 - y0, ratio, width, ratio) view of the output whose [y, j, x, i]
+# entry is output pixel ((y0 + y)*ratio + j, x*ratio + i)
+Kernel = Callable[[np.ndarray, int, int, np.ndarray], None]
 
 
 def _banded(img: Image, ratio, before: int, after: int, kernel: Kernel) -> Image:
@@ -58,13 +59,9 @@ def _banded(img: Image, ratio, before: int, after: int, kernel: Kernel) -> Image
     src = np.pad(img.pixels, ((before, after), (before, after)), mode="edge")
     out = np.empty((h, ratio, w, ratio), dtype=np.uint8)
     for y0, y1 in _bands(h, w * ratio * ratio):
-        # no name holds a phase past its copy, so one band's buffers are
-        # freed before the next band allocates its own
-        phases = kernel(src[y0 : y1 + before + after], ratio, img.max_value)
-        for i in range(ratio):
-            # one copy per column phase keeps the copy's inner loop
-            # running along x, not over the phases
-            out[y0:y1, :, :, i] = next(phases).transpose(1, 0, 2)
+        # a kernel's temporaries are freed when it returns, before the
+        # next band allocates its own
+        kernel(src[y0 : y1 + before + after], ratio, img.max_value, out[y0:y1])
     # read-only, so Image keeps this array rather than copying it
     out.setflags(write=False)
     return Image(out.reshape(h * ratio, w * ratio), img.max_value)
@@ -99,16 +96,29 @@ def _cubic_weights(ratio: int) -> np.ndarray:
     )
 
 
-def _vertical_half_up(band: np.ndarray, weights: np.ndarray, max_value: int) -> np.ndarray:
-    """2V + d at every row phase j over every padded column, V weighing
-    the band's rows with ``weights[j]``; each row of the (ratio, taps)
-    integer weights sums to d. Weighed again by them, 2V + d yields
-    2N + d*d, so the integer type holds reach * (2 * reach * max_value +
-    d), reach being the largest sum of a row's |weights|."""
-    ratio, taps = weights.shape
+def _bilinear_weights(ratio: int) -> np.ndarray:
+    """(ratio, 2) integer weights (ratio - i, i) of taps 0..1 over ``ratio``."""
+    i = np.arange(ratio)
+    return np.stack([ratio - i, i], axis=1)
+
+
+def _half_up_dtype(weights: np.ndarray, max_value: int):
+    """Integer type of both passes over pixels in [0, max_value] with the
+    (ratio, taps) integer weights, each row of which sums to d: the first
+    pass keeps 2P + d, P weighing pixels with one row, and the second
+    weighs that with one row into 2N + d*d. It holds reach * (2 * reach *
+    max_value + d), reach being the largest sum of a row's |weights|."""
     d = int(weights[0].sum())
     reach = int(np.abs(weights).sum(axis=1).max())
-    dtype = _int_dtype(reach * (2 * reach * max_value + d))
+    return _int_dtype(reach * (2 * reach * max_value + d))
+
+
+def _vertical_half_up(band: np.ndarray, weights: np.ndarray, max_value: int) -> np.ndarray:
+    """(ratio, rows, width) 2V + d at every row phase j over every padded
+    column, V weighing the band's rows with ``weights[j]``."""
+    ratio, taps = weights.shape
+    d = int(weights[0].sum())
+    dtype = _half_up_dtype(weights, max_value)
     # tap t's weights at every row phase, doubled, as a (ratio, 1, 1) column
     terms = [(2 * column[:, None, None], t) for t, column in enumerate(weights.astype(dtype).T) if column.any()]
     n = band.shape[0] - taps + 1
@@ -119,58 +129,77 @@ def _vertical_half_up(band: np.ndarray, weights: np.ndarray, max_value: int) -> 
     return mid
 
 
-def _bicubic(band: np.ndarray, ratio: int, max_value: int):
+def _horizontal_half_up(band: np.ndarray, weights: np.ndarray, max_value: int) -> np.ndarray:
+    """(rows, width * ratio) 2H + d at every column phase i over every
+    padded row, H weighing the band's columns with ``weights[i]``, the
+    phases interleaved: column x * ratio + i holds phase i at source
+    column x, so a row of it is a row of output columns."""
+    ratio, taps = weights.shape
+    d = int(weights[0].sum())
+    dtype = _half_up_dtype(weights, max_value)
+    rows, w = band.shape[0], band.shape[1] - taps + 1
+    src = band.astype(dtype)
+    cols = [src[:, t : t + w] for t in range(taps)]
+    mid = np.empty((rows, w, ratio), dtype)
+    total = np.empty((rows, w), dtype)
+    product = np.empty_like(total)
+    for i, row in enumerate(2 * weights.astype(dtype)):
+        _weighted_sum([(c, t) for t, c in enumerate(row) if c], cols, total, product)
+        # the kernel's one strided write, 1/ratio the size of its output
+        np.add(total, d, out=mid[:, :, i])
+    return mid.reshape(rows, w * ratio)
+
+
+def _bicubic(band: np.ndarray, ratio: int, max_value: int, out: np.ndarray) -> None:
     """Band kernel of separable cubic convolution over the source padded
     by one row and column before it and two after it.
 
     At offset i/ratio, ``_cubic_weights(ratio)[i, t]`` weighs the source
-    pixel ``base + t - 1`` over d = 2 * ratio**3 per axis. Column phase i
-    weighs four column views of the vertical pass's 2V + d into 2N + d*d,
+    pixel ``base + t - 1`` over d = 2 * ratio**3 per axis. Row phase j
+    weighs four row views of the horizontal pass's 2H + d into 2N + d*d,
     N being the numerator over d*d, quantized exactly as
     floor(N/(d*d) + 1/2) and clamped to [0, max_value].
     """
     weights = _cubic_weights(ratio)
     d = 2 * ratio**3
-    mid = _vertical_half_up(band, weights, max_value)
-    w = mid.shape[2] - 3
-    cols = [mid[:, :, t : t + w] for t in range(4)]
-    num = np.empty(mid.shape[:2] + (w,), mid.dtype)
+    mid = _horizontal_half_up(band, weights, max_value)
+    n = out.shape[0]
+    rows = [mid[t : t + n] for t in range(4)]
+    num = np.empty((n, mid.shape[1]), mid.dtype)
     product = np.empty_like(num)
-    for row in weights.astype(mid.dtype):
-        _weighted_sum([(c, t) for t, c in enumerate(row) if c], cols, num, product)
+    finished = out.reshape(n, ratio, mid.shape[1])
+    for j, row in enumerate(weights.astype(mid.dtype)):
+        _weighted_sum([(c, t) for t, c in enumerate(row) if c], rows, num, product)
         num //= 2 * d * d
-        np.clip(num, 0, max_value, out=num)
-        yield num
+        np.clip(num, 0, max_value, out=finished[:, j], casting="unsafe")
 
 
-def _bilinear_half_up(band: np.ndarray, ratio: int, max_value: int):
-    """(2N + ratio**2 at column phase 0, its step per column phase) for
-    the bilinear numerator N over ``ratio**2`` of the band's 2x2 cells:
-    with mid = 2V + ratio for the weights (ratio - j, j), phase (j, i) is
-    ratio * mid[j, :, x] + i * (mid[j, :, x + 1] - mid[j, :, x])."""
-    j = np.arange(ratio)
-    mid = _vertical_half_up(band, np.stack([ratio - j, j], axis=1), max_value)
-    return ratio * mid[..., :-1], mid[..., 1:] - mid[..., :-1]
-
-
-def _bilinear(band: np.ndarray, ratio: int, max_value: int):
+def _bilinear(band: np.ndarray, ratio: int, max_value: int, out: np.ndarray) -> None:
     """Band kernel of bilinear interpolation over the source padded by one
-    row and column after it; N / ratio**2, a weighted mean, needs no clamp."""
-    half_up, step = _bilinear_half_up(band, ratio, max_value)
-    num = np.empty_like(half_up)
-    for _ in range(ratio):
-        yield np.floor_divide(half_up, 2 * ratio * ratio, out=num)
+    row and column after it: with mid = 2H + ratio for the weights
+    (ratio - i, i), 2N + ratio**2 at row phase j is ratio * mid[y] +
+    j * (mid[y + 1] - mid[y]); N / ratio**2, a weighted mean, needs no
+    clamp."""
+    mid = _horizontal_half_up(band, _bilinear_weights(ratio), max_value)
+    half_up, step = ratio * mid[:-1], mid[1:] - mid[:-1]
+    finished = out.reshape(out.shape[0], ratio, mid.shape[1])
+    for j in range(ratio):
+        np.floor_divide(half_up, 2 * ratio * ratio, out=finished[:, j], casting="unsafe")
         half_up += step
 
 
-def _nn(band: np.ndarray, ratio: int, max_value: int):
+def _nn(band: np.ndarray, ratio: int, max_value: int, out: np.ndarray) -> None:
     """Band kernel of nearest neighbor over the source padded by one row
     and column after it."""
-    n, w = band.shape[0] - 1, band.shape[1] - 1
-    # offset j/ratio moves to the next source pixel only past one half
-    rows = np.stack([band[int(2 * j > ratio) :][:n] for j in range(ratio)])
+    n, w = out.shape[0], out.shape[2]
+    # offset k/ratio moves to the next source pixel only past one half
+    mid = np.empty((band.shape[0], w, ratio), np.uint8)
     for i in range(ratio):
-        yield rows[:, :, int(2 * i > ratio) :][:, :, :w]
+        mid[:, :, i] = band[:, int(2 * i > ratio) :][:, :w]
+    mid = mid.reshape(band.shape[0], w * ratio)
+    finished = out.reshape(n, ratio, w * ratio)
+    for j in range(ratio):
+        finished[:, j] = mid[int(2 * j > ratio) :][:n]
 
 
 def resample_nn(img: Image, ratio: int) -> Image:

@@ -40,6 +40,30 @@ class TestImage:
         assert img.pixels.max() == 0
         assert resample_bilinear(img, 9) == Image(np.zeros((36, 36), dtype=np.uint8), 1)
 
+    def test_read_only_view_of_a_writable_base_is_not_shared(self):
+        base = np.zeros(16, dtype=np.uint8)
+        view = base.reshape(4, 4)
+        view.flags.writeable = False
+        img = Image(view, 1)
+        base[:] = 255
+        assert img.pixels.max() == 0
+        assert resample_bilinear(img, 9) == Image(np.zeros((36, 36), dtype=np.uint8), 1)
+
+    def test_read_only_view_of_a_writable_buffer_is_not_shared(self):
+        buffer = bytearray(16)
+        view = np.frombuffer(buffer, dtype=np.uint8).reshape(4, 4)
+        view.flags.writeable = False
+        img = Image(view, 1)
+        buffer[:] = b"\xff" * 16
+        assert img.pixels.max() == 0
+
+    def test_read_only_memory_is_kept(self):
+        frozen = np.zeros((4, 4), dtype=np.uint8)
+        frozen.flags.writeable = False
+        from_bytes = np.frombuffer(bytes(16), dtype=np.uint8).reshape(4, 4)
+        for pixels in (frozen, frozen[1:], from_bytes):
+            assert Image(pixels, 1).pixels is pixels
+
     @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
     def test_grid_must_be_two_dimensional(self, shape):
         with pytest.raises(ValueError, match=rf"^expected a 2-D pixel grid, got ndim={len(shape)}$"):

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnvresize import Image, mse, psnr
 
-from conftest import random_image
+from conftest import band_bytes, random_image
 
 
 def _const(value, width=4, height=4, max_value=255):
@@ -37,6 +39,27 @@ class TestMse:
         a = _const(0, 64, 64)
         b = _const(255, 64, 64)
         assert mse(a, b) == 255.0 * 255.0
+
+    def test_full_scale_difference_on_a_wide_row(self):
+        # 70 000 * 255**2 passes 2**32, so a uint32 row sum would wrap
+        zero = Image(np.zeros((1, 70_000), dtype=np.uint8))
+        full = Image(np.full((1, 70_000), 255, dtype=np.uint8))
+        assert mse(zero, full) == mse(full, zero) == 65025.0
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        width=st.integers(1, 12),
+        height=st.integers(1, 12),
+        budget=st.sampled_from([1, 64, 256]),
+        data=st.data(),
+    )
+    def test_equals_a_python_int_sum(self, width, height, budget, data):
+        # small band budgets split the pair into bands of one to a few rows
+        a, b = (data.draw(st.binary(min_size=width * height, max_size=width * height)) for _ in range(2))
+        want = sum((x - y) ** 2 for x, y in zip(a, b)) / (width * height)
+        with band_bytes(budget):
+            got = mse(*(Image.from_flat(width, height, np.frombuffer(v, np.uint8)) for v in (a, b)))
+        assert got == want
 
 
 class TestPsnr:

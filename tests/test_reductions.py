@@ -118,7 +118,7 @@ def test_reductions_match_oracles_property(ratio, blocks, max_value, seed, band)
 
 @pytest.mark.parametrize("fn", (mse, psnr), ids=lambda f: f.__name__)
 def test_metrics_peak_memory_flat_in_height(fn):
-    # a band's int16 difference and int32 square are the same size for a
+    # a band's uint8 difference and uint16 square are the same size for a
     # 256-row and a 2048-row image
     rng = np.random.default_rng(2048)
     short, tall = (

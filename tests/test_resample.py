@@ -1,6 +1,7 @@
 """Coordinate mapping and the nearest/bilinear/bicubic upscalers."""
 
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from nnvresize import Image, nnv, resample, resample_bicubic, resample_bilinear, resample_nn, resample_nnv
-from nnvresize.resample import _cubic_weights, _vertical_half_up
+from nnvresize.resample import _bilinear_weights, _cubic_weights, _half_up_dtype, _horizontal_half_up, _vertical_half_up
 
 from conftest import random_image, traced_peak
 from refimpl import exact_resample
@@ -161,16 +162,17 @@ class TestCubicKernel:
 
 def test_vertical_pass_picks_the_narrowest_type():
     # one bound, reach * (2 * reach * max_value + d), for bilinear's
-    # weights (r - j, j) and the cubic ones alike, at 8 bits
+    # weights (r - j, j) and the cubic ones alike, at 8 bits, whichever
+    # direction the first pass weighs
     band = np.full((4, 4), 255, np.uint8)
 
     def dtype(weights):
-        return _vertical_half_up(band, weights, 255).dtype
+        vertical = _vertical_half_up(band, weights, 255).dtype
+        horizontal = _horizontal_half_up(band, weights, 255).dtype
+        assert vertical == horizontal == _half_up_dtype(weights, 255)
+        return vertical
 
-    def bilinear(r):
-        return np.stack([r - np.arange(r), np.arange(r)], axis=1)
-
-    assert [dtype(bilinear(r)) for r in (8, 9)] == [np.int16, np.int32]
+    assert [dtype(_bilinear_weights(r)) for r in (8, 9)] == [np.int16, np.int32]
     cubic = {r: dtype(_cubic_weights(r)) for r in range(1, 379)}
     assert cubic[1] == np.int16
     assert {cubic[r] for r in range(2, 10)} == {np.dtype(np.int32)}
@@ -234,8 +236,8 @@ class TestSharedProperties:
 
 
 # tracemalloc peak of one ratio-4 call on a seeded 256x256 image (two
-# bands), in output bytes: the measured peak (1.19, 1.85, 2.61 and 3.08)
-# plus a margin small enough that a second vertical pass per band, as
+# bands), in output bytes: the measured peak (1.19, 1.83, 2.61 and 3.08)
+# plus a margin small enough that a second band-sized pass, as
 # bilinear and NNV once made (2.08 and 3.34), would fail it
 PEAK_BOUNDS = {resample_nn: 1.5, resample_bilinear: 1.95, resample_bicubic: 2.7, resample_nnv: 3.2}
 
@@ -288,24 +290,28 @@ class TestOutputLimit:
         assert peak < 64 * 1024  # the output would be 16 MiB
 
 
-def phase_copies(method, img, ratio):
-    """Column phases the band loop copies in one call of ``method``: its
-    Python loop runs once per phase, so this is what the loop costs."""
-    copies = 0
-    banded = resample._banded
+def loop_steps(method, img, ratio):
+    """Python lines the resampler modules run in one call of ``method``.
+    Each step of a kernel's phase loop runs a fixed few of them, and so
+    does each band, so this is what the loops cost."""
+    files = {resample.__file__, nnv.__file__}
+    steps = 0
 
-    def counting(img, ratio, before, after, kernel):
-        def counted(*args):
-            nonlocal copies
-            for phase in kernel(*args):
-                copies += 1
-                yield phase
+    def local(frame, event, arg):
+        nonlocal steps
+        steps += event == "line"
+        return local
 
-        return banded(img, ratio, before, after, counted)
+    def call(frame, event, arg):
+        return local if frame.f_code.co_filename in files else None
 
-    with mock.patch.object(resample, "_banded", counting), mock.patch.object(nnv, "_banded", counting):
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
         method(img, ratio)
-    return copies
+    finally:
+        sys.settrace(previous)
+    return steps
 
 
 @pytest.mark.parametrize("method", PEAK_BOUNDS, ids=lambda f: f.__name__)
@@ -314,14 +320,17 @@ def test_tall_narrow_images_copy_no_more_phases(method):
     # source; many bands of few pixels must not turn into more Python loop
     # steps than the square takes for the same bytes
     rng = np.random.default_rng(64)
-    square = phase_copies(method, random_image(rng, 32, 32), 64)
+    square = loop_steps(method, random_image(rng, 32, 32), 64)
     for width, height in ((1, 1024), (1024, 1)):
-        copies = phase_copies(method, random_image(rng, width, height), 64)
-        assert copies <= square, f"{width}x{height}: {copies} phase copies against {square} for the square"
+        steps = loop_steps(method, random_image(rng, width, height), 64)
+        assert steps <= square, f"{width}x{height}: {steps} loop steps against {square} for the square"
 
 
 def test_huge_ratio_on_tiny_image_copies_each_phase_once_per_row():
-    # 2x2 at ratio 1000 is 4 MB in bands of one source row: one copy per
-    # column phase and row, each of a 1000x2 block, not one per output row
-    copies = phase_copies(resample_nn, random_image(np.random.default_rng(1000), 2, 2), 1000)
-    assert copies == 2 * 1000
+    # 2x2 at ratio 1000 is 4 MB in two bands of one source row each: a
+    # kernel writes each of a band's 1000 row or column phases once, a
+    # few lines a step (under 32 for both directions), not once for each
+    # of a band's million (row phase, column phase) pairs
+    for method in (resample_nn, resample_bilinear, resample_nnv):
+        steps = loop_steps(method, random_image(np.random.default_rng(1000), 2, 2), 1000)
+        assert 2 * 1000 <= steps <= 2 * 32 * 1000, f"{method.__name__}: {steps} loop steps"
