@@ -11,15 +11,20 @@ from __future__ import annotations
 import numpy as np
 
 from .image import Image
-from .resample import _banded, _bilinear_weights, _vertical_half_up
+from .resample import _banded, _bilinear_weights, _half_up_dtype
 
 
 def _bilinear_half_up(band: np.ndarray, ratio: int, max_value: int):
     """(2N + ratio**2 at column phase 0, its step per column phase) for
     the bilinear numerator N over ``ratio**2`` of the band's 2x2 cells:
-    with mid = 2V + ratio for the weights (ratio - j, j), phase (j, i) is
+    mid = 2V + ratio for the weights (ratio - j, j) is 2 * ratio * top +
+    ratio + 2j * (bottom - top) at row phase j, and phase (j, i) is
     ratio * mid[j, :, x] + i * (mid[j, :, x + 1] - mid[j, :, x])."""
-    mid = _vertical_half_up(band, _bilinear_weights(ratio), max_value)
+    dtype = _half_up_dtype(_bilinear_weights(ratio), max_value)
+    # widened before the subtraction, which would wrap in uint8
+    top = band[:-1].astype(dtype)
+    mid = np.arange(0, 2 * ratio, 2, dtype=dtype)[:, None, None] * (band[1:] - top)
+    mid += 2 * ratio * top + ratio
     return ratio * mid[..., :-1], mid[..., 1:] - mid[..., :-1]
 
 

@@ -17,10 +17,10 @@ Taps are weighed with integers over a power of r, rounding offset folded
 in. The three kernels here run their horizontal pass first, at source
 height, into rows whose column phases are interleaved as in the output,
 the one strided write; their vertical pass then writes each row phase as
-finished uint8 output rows. NNV runs the bilinear passes the other way
-round, as its cells live at source resolution. One type rule,
-_half_up_dtype, serves both directions. Every value is exact at every
-ratio, and each method's temporaries are the size of a band.
+finished uint8 output rows. One type rule, _half_up_dtype, sizes every
+first pass, NNV's own bilinear guide included, which steps down the rows
+first, as its cells live at source resolution. Every value is exact at
+every ratio, and each method's temporaries are the size of a band.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ def _banded(img: Image, ratio, before: int, after: int, kernel: Kernel) -> Image
 
 
 def _weighted_sum(terms, views, out: np.ndarray, product: np.ndarray) -> None:
-    """out = sum(c * views[t]) over the (c, t) in ``terms``; c may be a
-    scalar or an array that broadcasts against the view, and ``product``
-    is a buffer shaped like ``out`` that takes each product."""
+    """out = sum(c * views[t]) over the (c, t) in ``terms``, each c a
+    scalar; ``product`` is a buffer shaped like ``out`` that takes each
+    product."""
     (c, t), *rest = terms
     np.multiply(views[t], c, out=out)
     for c, t in rest:
@@ -111,22 +111,6 @@ def _half_up_dtype(weights: np.ndarray, max_value: int):
     d = int(weights[0].sum())
     reach = int(np.abs(weights).sum(axis=1).max())
     return _int_dtype(reach * (2 * reach * max_value + d))
-
-
-def _vertical_half_up(band: np.ndarray, weights: np.ndarray, max_value: int) -> np.ndarray:
-    """(ratio, rows, width) 2V + d at every row phase j over every padded
-    column, V weighing the band's rows with ``weights[j]``."""
-    ratio, taps = weights.shape
-    d = int(weights[0].sum())
-    dtype = _half_up_dtype(weights, max_value)
-    # tap t's weights at every row phase, doubled, as a (ratio, 1, 1) column
-    terms = [(2 * column[:, None, None], t) for t, column in enumerate(weights.astype(dtype).T) if column.any()]
-    n = band.shape[0] - taps + 1
-    src = band.astype(dtype)
-    mid = np.empty((ratio, n, band.shape[1]), dtype)
-    _weighted_sum(terms, [src[t : t + n] for t in range(taps)], mid, np.empty_like(mid))
-    mid += d
-    return mid
 
 
 def _horizontal_half_up(band: np.ndarray, weights: np.ndarray, max_value: int) -> np.ndarray:

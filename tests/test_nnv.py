@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from nnvresize import Image, resample_bilinear, resample_nnv
+from nnvresize.nnv import _bilinear_half_up
 
 from conftest import random_image
 from refimpl import (
@@ -211,6 +212,19 @@ class TestResampleNnv:
         first = resample_nnv(img, 4)
         second = resample_nnv(img, 4)
         assert first == second
+
+    @pytest.mark.parametrize("max_value", [255, 200, 1])
+    def test_guide_is_the_bilinear_numerator(self, rng, max_value):
+        # NNV steps its own bilinear guide; at every phase (j, i) it must
+        # floor-divide to the pixel resample_bilinear writes there
+        img = random_image(rng, 7, 5, max_value)
+        band = np.pad(img.pixels, ((0, 1), (0, 1)), mode="edge")
+        for r in range(1, 13):
+            half_up, step = _bilinear_half_up(band, r, max_value)
+            bilinear = resample_bilinear(img, r).pixels.reshape(5, r, 7, r)
+            for i in range(r):
+                guide = (half_up + i * step) // (2 * r * r)
+                assert np.array_equal(guide, bilinear[:, :, :, i].transpose(1, 0, 2)), (r, i)
 
     def test_degenerate_border_cells_replicate_edges(self):
         # bottom-right corner cell collapses to a single source pixel

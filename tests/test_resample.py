@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from nnvresize import Image, nnv, resample, resample_bicubic, resample_bilinear, resample_nn, resample_nnv
-from nnvresize.resample import _bilinear_weights, _cubic_weights, _half_up_dtype, _horizontal_half_up, _vertical_half_up
+from nnvresize.nnv import _bilinear_half_up
+from nnvresize.resample import _bilinear_weights, _cubic_weights, _half_up_dtype, _horizontal_half_up
 
 from conftest import random_image, traced_peak
 from refimpl import exact_resample
@@ -162,17 +163,18 @@ class TestCubicKernel:
 
 def test_vertical_pass_picks_the_narrowest_type():
     # one bound, reach * (2 * reach * max_value + d), for bilinear's
-    # weights (r - j, j) and the cubic ones alike, at 8 bits, whichever
-    # direction the first pass weighs
+    # weights (r - j, j) and the cubic ones alike, at 8 bits, whether the
+    # first pass weighs columns or, in NNV's bilinear guide, rows
     band = np.full((4, 4), 255, np.uint8)
 
     def dtype(weights):
-        vertical = _vertical_half_up(band, weights, 255).dtype
         horizontal = _horizontal_half_up(band, weights, 255).dtype
-        assert vertical == horizontal == _half_up_dtype(weights, 255)
-        return vertical
+        assert horizontal == _half_up_dtype(weights, 255)
+        return horizontal
 
     assert [dtype(_bilinear_weights(r)) for r in (8, 9)] == [np.int16, np.int32]
+    guide = [{a.dtype for a in _bilinear_half_up(band, r, 255)} for r in (8, 9)]
+    assert guide == [{np.dtype(np.int16)}, {np.dtype(np.int32)}]
     cubic = {r: dtype(_cubic_weights(r)) for r in range(1, 379)}
     assert cubic[1] == np.int16
     assert {cubic[r] for r in range(2, 10)} == {np.dtype(np.int32)}
@@ -235,18 +237,28 @@ class TestSharedProperties:
         assert method(img, np.int64(2)) == method(img, 2)
 
 
-# tracemalloc peak of one ratio-4 call on a seeded 256x256 image (two
-# bands), in output bytes: the measured peak (1.19, 1.83, 2.61 and 3.08)
-# plus a margin small enough that a second band-sized pass, as
-# bilinear and NNV once made (2.08 and 3.34), would fail it
-PEAK_BOUNDS = {resample_nn: 1.5, resample_bilinear: 1.95, resample_bicubic: 2.7, resample_nnv: 3.2}
+# tracemalloc peak of one call on a seeded 256x256 image, in output
+# bytes, by ratio. Ratio 4 (two bands): the measured peak (1.19, 1.83,
+# 2.61 and 3.08) plus a margin small enough that a second band-sized
+# pass, as bilinear and NNV once made (2.08 and 3.34), would fail it.
+# Ratios 2 (one band) and 3 (two), where NNV's source-resolution
+# temporaries weigh most: the measured peak (1.76, 4.33, 7.43, 13.81 and
+# 1.41, 2.92, 4.74, 6.75) plus at most 0.3 and 0.21, below one more
+# (ratio, rows, width) int16 temporary (1.0 and 0.59 of the output).
+PEAK_BOUNDS = {
+    resample_nn: {2: 2.0, 3: 1.6, 4: 1.5},
+    resample_bilinear: {2: 4.6, 3: 3.1, 4: 1.95},
+    resample_bicubic: {2: 7.7, 3: 4.95, 4: 2.7},
+    resample_nnv: {2: 14.1, 3: 6.95, 4: 3.2},
+}
 
 
 @pytest.mark.parametrize("method", PEAK_BOUNDS, ids=lambda f: f.__name__)
 def test_peak_memory_bounded(method):
-    img = random_image(np.random.default_rng(256), 256, 256)
-    peak, out = traced_peak(method, img, 4)
-    assert peak <= PEAK_BOUNDS[method] * out.pixels.nbytes
+    for ratio, bound in PEAK_BOUNDS[method].items():
+        img = random_image(np.random.default_rng(256), 256, 256)
+        peak, out = traced_peak(method, img, ratio)
+        assert peak <= bound * out.pixels.nbytes, f"ratio {ratio}: {peak / out.pixels.nbytes:.2f}x the output"
 
 
 @pytest.mark.parametrize("method", PEAK_BOUNDS, ids=lambda f: f.__name__)
