@@ -92,14 +92,15 @@ def run_benchmark(
     ratio, upscale back with every method, and score against the original.
 
     ``originals`` is iterated once, one original at a time, after the
-    ratios, methods and repeats are checked. Rows come out in (image,
-    ratio, method) order. Methods run sequentially so their timings do
-    not contaminate each other.
+    ratios, methods and repeats are checked. A ratio or method given
+    more than once runs once, at its first place. Rows come out in
+    (image, ratio, method) order. Methods run sequentially so their
+    timings do not contaminate each other.
     """
-    ratios = [_check_ratio(ratio) for ratio in ratios]
+    ratios = list(dict.fromkeys(_check_ratio(ratio) for ratio in ratios))
     if not ratios:
         raise ValueError("no ratios requested")
-    resamplers = [(m, get_resampler(m)) for m in methods]
+    resamplers = [(m, get_resampler(m)) for m in dict.fromkeys(methods)]
     if not resamplers:
         raise ValueError("no methods requested")
     _check_repeats(repeats)

@@ -118,7 +118,12 @@ class Image:
         return self._pixels
 
     def get(self, x: int, y: int) -> int:
-        """Intensity at column x, row y."""
+        """Intensity at column x, row y: TypeError unless both are
+        integers, IndexError outside the image."""
+        if not (_is_integer(x) and _is_integer(y)):
+            raise TypeError(f"coordinates must be integers, got ({x!r}, {y!r})")
+        if not (0 <= x < self.width and 0 <= y < self.height):
+            raise IndexError(f"({x}, {y}) is outside the {self.width}x{self.height} image")
         return int(self._pixels[y, x])
 
     def __eq__(self, other) -> bool:
@@ -236,8 +241,12 @@ def save_pgm(img: Image) -> bytes:
 
 
 def read_pgm(path: str | os.PathLike) -> Image:
+    """Decode the PGM file at ``path``; a PgmError names the file."""
     with open(path, "rb") as fh:
-        return load_pgm(fh.read())
+        try:
+            return load_pgm(fh.read())
+        except PgmError as exc:
+            raise PgmError(f"{path}: {exc}") from None
 
 
 def write_pgm(path: str | os.PathLike, img: Image) -> None:

@@ -58,20 +58,19 @@ def _nnv(band: np.ndarray, ratio: int, max_value: int, out: np.ndarray) -> None:
         for n, (lo, hi) in enumerate(zip(values, values[1:]))
     ]
     planes = np.empty((ratio,) + a.shape, np.uint8)
-    passed = np.empty(planes.shape, bool)
-    raised = np.empty(planes.shape, np.uint8)
+    passed = np.empty(planes.shape, np.uint8)
     for i in range(ratio):
         planes[...] = base
         for t, gap in zip(thresholds, gaps):
             np.greater(half_up, t, out=passed)
-            np.multiply(passed, gap, out=raised)
-            planes += raised
-        if i == 0:
-            planes[0] = a
+            passed *= gap
+            planes += passed
         # one copy per column phase keeps the copy's inner loop running
         # along x, not over the phases
-        out[:, :, :, i] = planes.transpose(1, 0, 2)
+        out[:, :, i::ratio] = planes.transpose(1, 0, 2)
         half_up += step
+    # the sample sites copy their source pixels
+    out[:, 0, ::ratio] = a
 
 
 def resample_nnv(img: Image, ratio: int) -> Image:

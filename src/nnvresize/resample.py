@@ -11,7 +11,7 @@ edge-padded source around (y, x). Every resampler, NNV included, runs
 through one band loop, _banded: it pads the source once, as uint8, and
 walks it in bands of source rows [y0, y1) that hold about
 image._BAND_BYTES of output each. Per band, a method's band kernel gets
-the padded rows its taps reach and the (y1 - y0, r, width, r) view of
+the padded rows its taps reach and the (y1 - y0, r, width*r) view of
 output rows [y0*r, y1*r), and writes each byte of that view once.
 Taps are weighed with integers over a power of r, rounding offset folded
 in. The three kernels here run their horizontal pass first, at source
@@ -36,8 +36,8 @@ _MAX_OUTPUT_PIXELS = 2**31
 
 # kernel(band, ratio, max_value, out) writes one band's output: band holds
 # the padded source rows [y0, y1 + before + after), and out is the
-# (y1 - y0, ratio, width, ratio) view of the output whose [y, j, x, i]
-# entry is output pixel ((y0 + y)*ratio + j, x*ratio + i)
+# (y1 - y0, ratio, width*ratio) view of the output whose [y, j] row is
+# output row (y0 + y)*ratio + j
 Kernel = Callable[[np.ndarray, int, int, np.ndarray], None]
 
 
@@ -57,7 +57,7 @@ def _banded(img: Image, ratio, before: int, after: int, kernel: Kernel) -> Image
             f"the limit of {_MAX_OUTPUT_PIXELS} pixels"
         )
     src = np.pad(img.pixels, ((before, after), (before, after)), mode="edge")
-    out = np.empty((h, ratio, w, ratio), dtype=np.uint8)
+    out = np.empty((h, ratio, w * ratio), dtype=np.uint8)
     for y0, y1 in _bands(h, w * ratio * ratio):
         # a kernel's temporaries are freed when it returns, before the
         # next band allocates its own
@@ -124,14 +124,14 @@ def _horizontal_half_up(band: np.ndarray, weights: np.ndarray, max_value: int) -
     rows, w = band.shape[0], band.shape[1] - taps + 1
     src = band.astype(dtype)
     cols = [src[:, t : t + w] for t in range(taps)]
-    mid = np.empty((rows, w, ratio), dtype)
+    mid = np.empty((rows, w * ratio), dtype)
     total = np.empty((rows, w), dtype)
     product = np.empty_like(total)
     for i, row in enumerate(2 * weights.astype(dtype)):
         _weighted_sum([(c, t) for t, c in enumerate(row) if c], cols, total, product)
         # the kernel's one strided write, 1/ratio the size of its output
-        np.add(total, d, out=mid[:, :, i])
-    return mid.reshape(rows, w * ratio)
+        np.add(total, d, out=mid[:, i::ratio])
+    return mid
 
 
 def _bicubic(band: np.ndarray, ratio: int, max_value: int, out: np.ndarray) -> None:
@@ -151,11 +151,10 @@ def _bicubic(band: np.ndarray, ratio: int, max_value: int, out: np.ndarray) -> N
     rows = [mid[t : t + n] for t in range(4)]
     num = np.empty((n, mid.shape[1]), mid.dtype)
     product = np.empty_like(num)
-    finished = out.reshape(n, ratio, mid.shape[1])
     for j, row in enumerate(weights.astype(mid.dtype)):
         _weighted_sum([(c, t) for t, c in enumerate(row) if c], rows, num, product)
         num //= 2 * d * d
-        np.clip(num, 0, max_value, out=finished[:, j], casting="unsafe")
+        np.clip(num, 0, max_value, out=out[:, j], casting="unsafe")
 
 
 def _bilinear(band: np.ndarray, ratio: int, max_value: int, out: np.ndarray) -> None:
@@ -166,24 +165,21 @@ def _bilinear(band: np.ndarray, ratio: int, max_value: int, out: np.ndarray) -> 
     clamp."""
     mid = _horizontal_half_up(band, _bilinear_weights(ratio), max_value)
     half_up, step = ratio * mid[:-1], mid[1:] - mid[:-1]
-    finished = out.reshape(out.shape[0], ratio, mid.shape[1])
     for j in range(ratio):
-        np.floor_divide(half_up, 2 * ratio * ratio, out=finished[:, j], casting="unsafe")
+        np.floor_divide(half_up, 2 * ratio * ratio, out=out[:, j], casting="unsafe")
         half_up += step
 
 
 def _nn(band: np.ndarray, ratio: int, max_value: int, out: np.ndarray) -> None:
     """Band kernel of nearest neighbor over the source padded by one row
     and column after it."""
-    n, w = out.shape[0], out.shape[2]
+    n, w = out.shape[0], band.shape[1] - 1
     # offset k/ratio moves to the next source pixel only past one half
-    mid = np.empty((band.shape[0], w, ratio), np.uint8)
+    mid = np.empty((band.shape[0], w * ratio), np.uint8)
     for i in range(ratio):
-        mid[:, :, i] = band[:, int(2 * i > ratio) :][:, :w]
-    mid = mid.reshape(band.shape[0], w * ratio)
-    finished = out.reshape(n, ratio, w * ratio)
+        mid[:, i::ratio] = band[:, int(2 * i > ratio) :][:, :w]
     for j in range(ratio):
-        finished[:, j] = mid[int(2 * j > ratio) :][:n]
+        out[:, j] = mid[int(2 * j > ratio) :][:n]
 
 
 def resample_nn(img: Image, ratio: int) -> Image:

@@ -35,6 +35,17 @@ class TestRunBenchmark:
         keys = {(r.image_name, r.method, r.ratio) for r in report.rows}
         assert len(keys) == len(report.rows)
 
+    def test_repeated_ratios_and_methods_run_once(self, originals):
+        report = run_benchmark(originals, ratios=[2, 2, np.int64(2)], methods=["nn", "nn"], repeats=1)
+        assert [(r.image_name, r.method, r.ratio) for r in report.rows] == [
+            ("gradient", "nn", 2),
+            ("noise", "nn", 2),
+        ]
+
+    def test_first_occurrence_sets_the_order(self, originals):
+        report = run_benchmark(originals[:1], ratios=[4, 2, 4], methods=["nnv", "nn", "nnv"], repeats=1)
+        assert [(r.ratio, r.method) for r in report.rows] == [(4, "nnv"), (4, "nn"), (2, "nnv"), (2, "nn")]
+
     def test_row_ordering(self, originals):
         report = run_benchmark(originals, ratios=[2, 4], methods=("nn", "nnv"), repeats=1)
         triples = [(r.image_name, r.ratio, r.method) for r in report.rows]

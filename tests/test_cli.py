@@ -142,6 +142,13 @@ class TestMetrics:
         assert main(["metrics", str(ref), str(test)]) == 0
         assert "48.1308" in capsys.readouterr().out
 
+    def test_unreadable_second_file_is_named(self, tmp_path, source_pgm, capsys):
+        broken = tmp_path / "b.pgm"
+        broken.write_bytes(b"P5 2 2 255\n\x01")
+        assert main(["metrics", str(source_pgm), str(broken)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {broken}: truncated pixel data: expected 4 bytes, got 1\n")
+
     def test_dimension_mismatch_fails(self, tmp_path, source_pgm, rng, capsys):
         other = tmp_path / "other.pgm"
         write_pgm(other, random_image(rng, 4, 4))
@@ -296,7 +303,7 @@ class TestBench:
         argv = ["bench", str(d), "--ratios", "2", "--csv", str(csv_path), "--markdown", str(md_path), "--repeats", "1"]
         assert main(argv) == 1
         out, err = capsys.readouterr()
-        assert (out, err) == ("", "error: truncated pixel data: expected 64 bytes, got 10\n")
+        assert (out, err) == ("", f"error: {d / 'b.pgm'}: truncated pixel data: expected 64 bytes, got 10\n")
         assert not csv_path.exists() and not md_path.exists()
 
     def test_non_integer_ratio_in_list_is_usage_error(self, tmp_path, image_dir, capsys):

@@ -17,6 +17,20 @@ class TestImage:
         assert img.get(1, 0) == 20  # x = column, y = row
         assert img.get(0, 1) == 30
 
+    @pytest.mark.parametrize("x, y", [(-1, 0), (0, -1), (2, 0), (0, 3), (-3, -4)])
+    def test_get_refuses_coordinates_outside(self, x, y):
+        img = Image([[1, 2], [3, 4], [5, 6]])
+        with pytest.raises(IndexError, match=rf"^\({x}, {y}\) is outside the 2x3 image$"):
+            img.get(x, y)
+
+    @pytest.mark.parametrize("x, y", [(True, 0), (0, False), (1.0, 0), ("0", 0), (np.float64(0), 0)])
+    def test_get_refuses_non_integer_coordinates(self, x, y):
+        with pytest.raises(TypeError, match="coordinates must be integers"):
+            Image([[1, 2], [3, 4]]).get(x, y)
+
+    def test_get_takes_numpy_integers(self):
+        assert Image([[1, 2], [3, 4]]).get(np.int64(1), np.uint8(1)) == 4
+
     def test_from_flat_row_major(self):
         img = Image.from_flat(2, 2, [10, 20, 30, 40])
         assert img.pixels.tolist() == [[10, 20], [30, 40]]
@@ -55,6 +69,22 @@ class TestImage:
         view.flags.writeable = False
         img = Image(view, 1)
         buffer[:] = b"\xff" * 16
+        assert img.pixels.max() == 0
+
+    def test_read_only_view_of_an_interface_holder_is_not_shared(self):
+        # the view's base is the holder, which has no buffer to ask whether
+        # it is read-only, although the array behind it is writable
+        class Holder:
+            def __init__(self, arr):
+                self.arr = arr
+                self.__array_interface__ = arr.__array_interface__
+
+        base = np.zeros((4, 4), dtype=np.uint8)
+        view = np.asarray(Holder(base))
+        view.flags.writeable = False
+        assert view.base is not base and not isinstance(view.base, np.ndarray)
+        img = Image(view, 1)
+        base[:] = 255
         assert img.pixels.max() == 0
 
     def test_read_only_memory_is_kept(self):
