@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .image import Image, _check_ratio, block_downsample
+from .image import Image, _check_count, block_downsample
 from .metrics import psnr
 from .nnv import resample_nnv
 from .resample import resample_bicubic, resample_bilinear, resample_nn
@@ -61,17 +61,13 @@ def describe_environment() -> str:
     )
 
 
-def _check_repeats(repeats: int) -> None:
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-
-
 def time_resample(
     resampler: Callable[[Image, int], Image], img: Image, ratio: int, repeats: int = 5
 ) -> tuple[Image, float]:
     """Run the resampler repeatedly; return its output and the median
-    wall time of the calls alone (no I/O, single thread)."""
-    _check_repeats(repeats)
+    wall time of the calls alone (no I/O, single thread). ``repeats`` is
+    checked before the first call."""
+    repeats = _check_count(repeats, "repeats")
     times = []
     for _ in range(repeats):
         # let the previous output go first, so one output is held at a time
@@ -91,19 +87,19 @@ def run_benchmark(
     """Full cross product: for every original and ratio, downsample by the
     ratio, upscale back with every method, and score against the original.
 
-    ``originals`` is iterated once, one original at a time, after the
-    ratios, methods and repeats are checked. A ratio or method given
-    more than once runs once, at its first place. Rows come out in
-    (image, ratio, method) order. Methods run sequentially so their
-    timings do not contaminate each other.
+    The ratios, methods and ``repeats`` are checked before any work;
+    ``originals`` is then iterated once, one original at a time. A ratio
+    or method given more than once runs once, at its first place. Rows
+    come out in (image, ratio, method) order. Methods run sequentially
+    so their timings do not contaminate each other.
     """
-    ratios = list(dict.fromkeys(_check_ratio(ratio) for ratio in ratios))
+    ratios = list(dict.fromkeys(_check_count(ratio, "ratio") for ratio in ratios))
     if not ratios:
         raise ValueError("no ratios requested")
     resamplers = [(m, get_resampler(m)) for m in dict.fromkeys(methods)]
     if not resamplers:
         raise ValueError("no methods requested")
-    _check_repeats(repeats)
+    repeats = _check_count(repeats, "repeats")
 
     rows = []
     for name, img in originals:

@@ -7,18 +7,15 @@ import sys
 from pathlib import Path
 
 from .bench import METHOD_ORDER, RESAMPLERS, report_markdown, rows_to_csv, run_benchmark
-from .image import block_downsample, read_pgm, write_pgm
+from .image import _check_count, block_downsample, read_pgm, write_pgm
 from .metrics import psnr
 
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        return _check_count(int(text), "value")
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def _int_list(text: str) -> list[int]:

@@ -53,6 +53,14 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_count(value, name: str) -> int:
+    """``value`` as a Python int; ValueError naming it unless it is an
+    integer >= 1. Every count argument of the package goes through here."""
+    if not _is_integer(value) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 class Image:
     """Immutable grayscale raster with an explicit intensity ceiling.
 
@@ -94,7 +102,9 @@ class Image:
 
     @classmethod
     def from_flat(cls, width: int, height: int, values, max_value: int = 255) -> "Image":
-        """Build an image from a flat row-major sequence of intensities."""
+        """Build an image from a flat row-major sequence of intensities;
+        width and height are counts."""
+        width, height = _check_count(width, "width"), _check_count(height, "height")
         arr = np.asarray(values)
         if arr.size != width * height:
             raise ValueError(f"expected {width * height} values for {width}x{height}, got {arr.size}")
@@ -251,10 +261,12 @@ def read_pgm(path: str | os.PathLike) -> Image:
 
 def write_pgm(path: str | os.PathLike, img: Image) -> None:
     """Write the bytes of save_pgm(img) without joining them: the header,
-    then the pixel buffer itself."""
+    then the pixel buffer itself. Both are taken before the file is
+    opened, so what is not an image leaves an existing file untouched."""
+    header, raster = _p5_header(img), img.pixels.data
     with open(path, "wb") as fh:
-        fh.write(_p5_header(img))
-        fh.write(img.pixels.data)
+        fh.write(header)
+        fh.write(raster)
 
 
 def _bands(rows: int, row_bytes: int):
@@ -272,13 +284,6 @@ def _int_dtype(bound: int):
         if bound <= np.iinfo(dtype).max:
             return dtype
     return object
-
-
-def _check_ratio(ratio) -> int:
-    """The ratio as a Python int; ValueError unless it is an integer >= 1."""
-    if not _is_integer(ratio) or ratio < 1:
-        raise ValueError(f"ratio must be an integer >= 1, got {ratio!r}")
-    return int(ratio)
 
 
 def _block_sums_half_up(band: np.ndarray, ratio: int, dtype) -> np.ndarray:
@@ -300,7 +305,7 @@ def block_downsample(img: Image, ratio: int) -> Image:
     Block means are rounded half up. Width and height must be divisible
     by the ratio.
     """
-    ratio = _check_ratio(ratio)
+    ratio = _check_count(ratio, "ratio")
     if img.width % ratio or img.height % ratio:
         raise ValueError(
             f"dimensions {img.width}x{img.height} not divisible by ratio {ratio}"

@@ -18,14 +18,6 @@ class MetricsReport:
     psnr_db: float | None
 
 
-def _check_dims(reference: Image, test: Image) -> None:
-    if (reference.width, reference.height) != (test.width, test.height):
-        raise ValueError(
-            f"dimension mismatch: {reference.width}x{reference.height}"
-            f" vs {test.width}x{test.height}"
-        )
-
-
 def _sum_of_squares(a: np.ndarray, b: np.ndarray) -> int:
     """Exact sum of (a - b)**2 over two 2-D uint8 arrays: |a - b| as
     uint8, max - min, its square as uint16, each row's sum in uint32 (in
@@ -45,7 +37,11 @@ def mse(reference: Image, test: Image) -> float:
     before the one division, so the result does not depend on summation
     order or band size.
     """
-    _check_dims(reference, test)
+    if (reference.width, reference.height) != (test.width, test.height):
+        raise ValueError(
+            f"dimension mismatch: {reference.width}x{reference.height}"
+            f" vs {test.width}x{test.height}"
+        )
     width, height = reference.width, reference.height
     total = sum(
         _sum_of_squares(reference.pixels[y0:y1], test.pixels[y0:y1])
@@ -58,9 +54,8 @@ def psnr(reference: Image, test: Image) -> MetricsReport:
     """PSNR in dB relative to the images' shared max_value.
 
     Identical images have zero MSE and an undefined PSNR, reported as
-    psnr_db=None.
+    psnr_db=None. mse checks that the dimensions match.
     """
-    _check_dims(reference, test)
     if reference.max_value != test.max_value:
         raise ValueError(
             f"max_value mismatch: {reference.max_value} vs {test.max_value}"

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .image import Image, _bands, _check_ratio, _int_dtype
+from .image import Image, _bands, _check_count, _int_dtype
 
 # the largest output, in pixels, a resampler will allocate
 _MAX_OUTPUT_PIXELS = 2**31
@@ -49,7 +49,7 @@ def _banded(img: Image, ratio, before: int, after: int, kernel: Kernel) -> Image
     The ratio and the output size are checked before anything is
     allocated.
     """
-    ratio = _check_ratio(ratio)
+    ratio = _check_count(ratio, "ratio")
     h, w = img.height, img.width
     if w * h * ratio * ratio > _MAX_OUTPUT_PIXELS:
         raise ValueError(

@@ -84,9 +84,21 @@ class TestRunBenchmark:
             ({"ratios": [2, 0]}, r"^ratio must be an integer >= 1, got 0$"),
             ({"ratios": [2.5]}, r"^ratio must be an integer >= 1, got 2\.5$"),
             ({"ratios": [True]}, r"^ratio must be an integer >= 1, got True$"),
-            ({"ratios": [2], "repeats": 0}, "^repeats must be >= 1$"),
+            ({"ratios": [2], "repeats": 0}, r"^repeats must be an integer >= 1, got 0$"),
+            ({"ratios": [2], "repeats": 2.5}, r"^repeats must be an integer >= 1, got 2\.5$"),
+            ({"ratios": [2], "repeats": True}, r"^repeats must be an integer >= 1, got True$"),
         ],
-        ids=["no-ratios", "no-methods", "unknown-method", "zero-ratio", "fractional-ratio", "bool-ratio", "zero-repeats"],
+        ids=[
+            "no-ratios",
+            "no-methods",
+            "unknown-method",
+            "zero-ratio",
+            "fractional-ratio",
+            "bool-ratio",
+            "zero-repeats",
+            "fractional-repeats",
+            "bool-repeats",
+        ],
     )
     def test_rejects_bad_arguments_before_reading_an_original(self, kwargs, message):
         def originals():
@@ -147,8 +159,13 @@ class TestTimeResample:
         assert abs(many - once) <= 0.1 * once, (once, many)
 
     def test_rejects_zero_repeats(self, rng):
-        with pytest.raises(ValueError):
-            time_resample(get_resampler("nn"), random_image(rng, 4, 4), 2, repeats=0)
+        # zero, a float and a bool alike, before the first call
+        def resampler(img, ratio):
+            pytest.fail("the resampler ran before repeats was checked")
+
+        for repeats in (0, 2.5, True):
+            with pytest.raises(ValueError, match=rf"^repeats must be an integer >= 1, got {repeats!r}$"):
+                time_resample(resampler, random_image(rng, 4, 4), 2, repeats=repeats)
 
 
 class TestCsv:

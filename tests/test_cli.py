@@ -368,5 +368,5 @@ def test_successive_calls_parse_as_a_fresh_parser_would(tmp_path, source_pgm, ca
         cli.build_parser().parse_args(bad)
     assert shared.value.code == fresh.value.code == 2
     assert shared_err == capsys.readouterr().err
-    assert "must be >= 1, got 0" in shared_err
+    assert "must be an integer >= 1, got '0'" in shared_err
     assert not (tmp_path / "bad.pgm").exists()

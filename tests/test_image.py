@@ -103,6 +103,17 @@ class TestImage:
         with pytest.raises(ValueError, match=r"^expected 4 values for 2x2, got 3$"):
             Image.from_flat(2, 2, [1, 2, 3])
 
+    @pytest.mark.parametrize("bad", [-1, 0, 2.0, True])
+    @pytest.mark.parametrize("name", ["width", "height"])
+    def test_from_flat_refuses_a_dimension_that_is_no_count(self, name, bad):
+        size = {"width": 2, "height": 2, name: bad}
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got {bad!r}$"):
+            Image.from_flat(size["width"], size["height"], range(4))
+
+    def test_from_flat_checks_the_width_first(self):
+        with pytest.raises(ValueError, match=r"^width must be an integer >= 1, got -1$"):
+            Image.from_flat(-1, -4, range(4))
+
     def test_value_above_max_rejected(self):
         with pytest.raises(ValueError):
             Image([[101]], max_value=100)
@@ -144,6 +155,15 @@ class TestImage:
         assert Image([[5]]) == Image([[5]])
         assert Image([[5]]) != Image([[6]])
         assert Image([[5]], max_value=254) != Image([[5]])
+
+    def test_equality_with_a_non_image_is_false(self):
+        # Image.__eq__ returns NotImplemented, so Python falls back to identity
+        assert Image([[1]]).__eq__([[1]]) is NotImplemented
+        assert not Image([[1]]) == [[1]]
+        assert Image([[1]]) != [[1]]
+
+    def test_repr_names_size_and_max_value(self):
+        assert repr(Image(np.zeros((2, 3), dtype=np.uint8), 100)) == "Image(3x2, max_value=100)"
 
 
 class TestLoadPgm:
@@ -296,6 +316,13 @@ class TestWritePgm:
         peak, _ = traced_peak(write_pgm, path, img)
         assert peak < 16 * 1024, peak
         assert path.read_bytes() == save_pgm(img)
+
+    def test_what_is_not_an_image_leaves_the_file_untouched(self, tmp_path):
+        path = tmp_path / "kept.pgm"
+        path.write_bytes(b"8 bytes.")
+        with pytest.raises(AttributeError):
+            write_pgm(path, [[1]])
+        assert path.read_bytes() == b"8 bytes."
 
 
 class TestBlockDownsample:
