@@ -32,22 +32,6 @@ class PgmError(ValueError):
     """Raised for malformed or unsupported PGM data."""
 
 
-def _nothing_writes(arr: np.ndarray) -> bool:
-    """True when no array can write the memory of ``arr``: it and every
-    array it views are read-only, and the chain ends in no buffer or in a
-    read-only one, such as bytes."""
-    while isinstance(arr, np.ndarray):
-        if arr.flags.writeable:
-            return False
-        arr = arr.base
-    if arr is None:
-        return True
-    try:
-        return memoryview(arr).readonly
-    except TypeError:
-        return False
-
-
 def _is_integer(value) -> bool:
     """True for Python and numpy integers, False for bool and everything else."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -61,15 +45,25 @@ def _check_count(value, name: str) -> int:
     return int(value)
 
 
+def _check_range(arr: np.ndarray, max_value: int) -> None:
+    """ValueError unless every value of ``arr`` lies in [0, max_value]; a
+    dtype that cannot leave that range is not scanned."""
+    info = np.iinfo(arr.dtype)
+    if info.min < 0 or info.max > max_value:
+        lo, hi = int(arr.min()), int(arr.max())
+        if lo < 0 or hi > max_value:
+            raise ValueError(f"pixel values [{lo}, {hi}] fall outside [0, {max_value}]")
+
+
 class Image:
     """Immutable grayscale raster with an explicit intensity ceiling.
 
     Pixels are stored row-major as uint8; coordinates are (x = column,
-    y = row) with the origin at the top-left corner. A writable array is
-    copied, so the caller's array stays writable and later writes to it,
-    or to the base it views, do not reach the image. A read-only
-    C-contiguous uint8 array is kept without a copy: the caller promises
-    that nothing writes its memory.
+    y = row) with the origin at the top-left corner. The constructor
+    checks the caller's array and stores a copy of it, so the caller's
+    array stays writable, and later writes to it, or to what it views,
+    do not reach the image. The package's own outputs and a decoded P5
+    raster are kept without a copy.
     """
 
     __slots__ = ("_pixels", "_max_value")
@@ -85,20 +79,20 @@ class Image:
         if not _is_integer(max_value) or not 1 <= max_value <= 255:
             raise ValueError(f"max_value must be an integer in [1, 255], got {max_value!r}")
         max_value = int(max_value)
-        # scan only a dtype that can hold values outside [0, max_value]
-        info = np.iinfo(arr.dtype)
-        if info.min < 0 or info.max > max_value:
-            lo, hi = int(arr.min()), int(arr.max())
-            if lo < 0 or hi > max_value:
-                raise ValueError(f"pixel values [{lo}, {hi}] fall outside [0, {max_value}]")
-        packed = np.ascontiguousarray(arr, dtype=np.uint8)
-        if packed is arr and not _nothing_writes(packed):
-            # the caller's memory: freezing it would reach into the
-            # caller, and sharing it would let the caller's writes in
-            packed = packed.copy()
+        _check_range(arr, max_value)
+        packed = np.array(arr, dtype=np.uint8, order="C")
         packed.setflags(write=False)
-        self._pixels = packed
-        self._max_value = max_value
+        self._pixels, self._max_value = packed, max_value
+
+    @classmethod
+    def _adopt(cls, pixels: np.ndarray, max_value: int) -> "Image":
+        """An image of ``pixels`` without a copy or a range scan: the
+        package's way in for a C-contiguous 2-D uint8 array in
+        [0, max_value] that nothing else writes. It freezes ``pixels``."""
+        pixels.setflags(write=False)
+        img = cls.__new__(cls)
+        img._pixels, img._max_value = pixels, max_value
+        return img
 
     @classmethod
     def from_flat(cls, width: int, height: int, values, max_value: int = 255) -> "Image":
@@ -106,6 +100,8 @@ class Image:
         width and height are counts."""
         width, height = _check_count(width, "width"), _check_count(height, "height")
         arr = np.asarray(values)
+        if arr.ndim == 0:
+            raise ValueError(f"values must be a sequence of width*height integers, got {type(values).__name__}")
         if arr.size != width * height:
             raise ValueError(f"expected {width * height} values for {width}x{height}, got {arr.size}")
         return cls(arr.reshape(height, width), max_value)
@@ -234,11 +230,13 @@ def load_pgm(data: bytes) -> Image:
             raise PgmError(f"truncated pixel data: expected {count} samples, got {len(samples)}")
         arr = samples.reshape(height, width)
 
-    # the header checks leave Image only the sample range to refuse
+    # the header checks leave only the sample range to refuse
     try:
-        return Image(arr, maxval)
+        _check_range(arr, maxval)
     except ValueError:
         raise PgmError(f"sample value outside [0, {maxval}]") from None
+    # a P5 raster stays a view of data, which nothing writes
+    return Image._adopt(np.ascontiguousarray(arr, dtype=np.uint8), maxval)
 
 
 def _p5_header(img: Image) -> bytes:
@@ -322,6 +320,4 @@ def block_downsample(img: Image, ratio: int) -> Image:
         # band's are taken
         band = img.pixels[y0 * ratio : y1 * ratio]
         np.floor_divide(_block_sums_half_up(band, ratio, dtype), denom, out=out[y0:y1], casting="unsafe")
-    # read-only, so Image keeps this array rather than copying it
-    out.setflags(write=False)
-    return Image(out, img.max_value)
+    return Image._adopt(out, img.max_value)

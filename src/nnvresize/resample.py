@@ -57,14 +57,13 @@ def _banded(img: Image, ratio, before: int, after: int, kernel: Kernel) -> Image
             f"the limit of {_MAX_OUTPUT_PIXELS} pixels"
         )
     src = np.pad(img.pixels, ((before, after), (before, after)), mode="edge")
-    out = np.empty((h, ratio, w * ratio), dtype=np.uint8)
+    out = np.empty((h * ratio, w * ratio), dtype=np.uint8)
+    rows = out.reshape(h, ratio, w * ratio)
     for y0, y1 in _bands(h, w * ratio * ratio):
         # a kernel's temporaries are freed when it returns, before the
         # next band allocates its own
-        kernel(src[y0 : y1 + before + after], ratio, img.max_value, out[y0:y1])
-    # read-only, so Image keeps this array rather than copying it
-    out.setflags(write=False)
-    return Image(out.reshape(h * ratio, w * ratio), img.max_value)
+        kernel(src[y0 : y1 + before + after], ratio, img.max_value, rows[y0:y1])
+    return Image._adopt(out, img.max_value)
 
 
 def _weighted_sum(terms, views, out: np.ndarray, product: np.ndarray) -> None:

@@ -5,9 +5,28 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nnvresize import Image, PgmError, block_downsample, load_pgm, resample_bilinear, save_pgm, write_pgm
+from nnvresize import (
+    RESAMPLERS,
+    Image,
+    PgmError,
+    block_downsample,
+    image,
+    load_pgm,
+    resample_bilinear,
+    save_pgm,
+    write_pgm,
+)
 
 from conftest import random_image, traced_peak
+
+
+def frozen_base(arr):
+    """What the base chain of ``arr`` ends in, after checking that every
+    array on it is read-only."""
+    while isinstance(arr, np.ndarray):
+        assert not arr.flags.writeable
+        arr = arr.base
+    return arr
 
 
 class TestImage:
@@ -87,17 +106,50 @@ class TestImage:
         base[:] = 255
         assert img.pixels.max() == 0
 
-    def test_read_only_memory_is_kept(self):
+    def test_read_only_arrays_are_copied(self):
         frozen = np.zeros((4, 4), dtype=np.uint8)
         frozen.flags.writeable = False
         from_bytes = np.frombuffer(bytes(16), dtype=np.uint8).reshape(4, 4)
         for pixels in (frozen, frozen[1:], from_bytes):
-            assert Image(pixels, 1).pixels is pixels
+            img = Image(pixels, 1)
+            assert not np.shares_memory(img.pixels, pixels)
+            assert np.array_equal(img.pixels, pixels)
+
+    @pytest.mark.parametrize(
+        "build", [*RESAMPLERS.values(), block_downsample], ids=[*RESAMPLERS, "block_downsample"]
+    )
+    def test_package_outputs_are_kept_and_frozen(self, rng, build):
+        assert frozen_base(build(random_image(rng, 6, 6, 15), 2).pixels) is None
+
+    def test_p5_raster_is_kept_and_frozen(self, rng):
+        data = save_pgm(random_image(rng, 5, 3, 15))
+        assert frozen_base(load_pgm(data).pixels) is data
+
+    def test_outputs_are_not_rescanned(self, rng, monkeypatch):
+        img = random_image(rng, 6, 6, 15)
+        data = save_pgm(img)
+
+        def refuse(arr, max_value):
+            raise ValueError("range checked")
+
+        monkeypatch.setattr(image, "_check_range", refuse)
+        for build in [*RESAMPLERS.values(), block_downsample]:
+            assert build(img, 2).max_value == 15
+        with pytest.raises(ValueError, match="range checked"):
+            Image([[1]], 15)
+        with pytest.raises(PgmError, match="sample value outside"):
+            load_pgm(data)
 
     @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
     def test_grid_must_be_two_dimensional(self, shape):
         with pytest.raises(ValueError, match=rf"^expected a 2-D pixel grid, got ndim={len(shape)}$"):
             Image(np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("values", [(i for i in range(4)), 4], ids=["generator", "scalar"])
+    def test_from_flat_refuses_a_non_sequence(self, values):
+        kind = type(values).__name__
+        with pytest.raises(ValueError, match=rf"^values must be a sequence of width\*height integers, got {kind}$"):
+            Image.from_flat(2, 2, values)
 
     def test_from_flat_counts_its_values(self):
         with pytest.raises(ValueError, match=r"^expected 4 values for 2x2, got 3$"):
