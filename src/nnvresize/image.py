@@ -14,9 +14,6 @@ _DIGITS = b"0123456789"
 _COMMENT = re.compile(rb"#[^\r\n]*")
 # whitespace and comments, then the token they precede (empty at the end)
 _TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]+|" + _COMMENT.pattern + rb")*([^ \t\n\r\x0b\x0c#]*)")
-# what int() accepts in a token: optional sign, digits, single underscores;
-# int() itself refuses more than sys.get_int_max_str_digits() digits
-_SAMPLE = re.compile(rb"[+-]?[0-9](?:_?[0-9])*")
 
 # bytes of work per band: small enough that a band's temporaries stay in
 # cache, large enough that a small image runs as one band
@@ -156,37 +153,38 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
+    # a number is a run of ASCII digits; int() refuses a run longer than
+    # sys.get_int_max_str_digits()
     try:
-        return int(token), pos
+        if token.isdigit():
+            return int(token), pos
     except ValueError:
-        raise PgmError(f"malformed header: {what} is not a number: {token!r}") from None
+        pass
+    raise PgmError(f"malformed header: {what} is not a number: {token!r}")
 
 
 def _p2_samples(body: bytes, count: int) -> np.ndarray:
     """The first ``count`` samples of a P2 raster as int64, or PgmError.
 
-    Samples are whitespace-separated tokens that int() accepts; a comment
-    ends a token, and whatever follows the last sample is ignored. An
-    integer beyond int64 reads as the int64 maximum, which no maxval admits.
+    A sample is a run of ASCII digits between whitespace; a comment ends a
+    sample, and whatever follows the last sample is ignored. A sample
+    beyond int64 reads as the int64 maximum, which no maxval admits.
     """
     if b"#" in body:
         body = _COMMENT.sub(b" ", body)
-    if not body.translate(None, _DIGITS + _WHITESPACE):
-        # digits and whitespace only: one C-level pass; np.fromstring reads a
-        # blank body as [0] and must never get count=, which over-reads
-        if body.isspace():
-            return np.empty(0, dtype=np.int64)
-        return np.fromstring(body, dtype=np.int64, sep=" ")[:count]
-    # maxsplit is capped because a huge header makes count exceed sys.maxsize
-    tokens = body.split(None, min(count, len(body)))[:count]
-    try:
-        return np.array(tokens, dtype=np.int64)
-    except (ValueError, OverflowError):
-        for token in tokens:
-            if not _SAMPLE.fullmatch(token):
-                raise PgmError(f"malformed sample: {token!r}") from None
-    # every token is an integer, so some fall outside int64
-    return np.full(len(tokens), np.iinfo(np.int64).max)
+    other = body.translate(None, _DIGITS + _WHITESPACE)
+    # the samples end where the token holding the first other byte starts
+    end = len(body[: body.find(other[:1])].rstrip(_DIGITS)) if other else len(body)
+    head = body[:end]
+    # one C-level pass; np.fromstring reads a blank string as [0] and must
+    # never get count=, which over-reads
+    if head and not head.isspace():
+        samples = np.fromstring(head, dtype=np.int64, sep=" ")
+    else:
+        samples = np.empty(0, dtype=np.int64)
+    if len(samples) < count and other:
+        raise PgmError(f"malformed sample: {_next_token(body, end)[0]!r}")
+    return samples[:count]
 
 
 def load_pgm(data: bytes) -> Image:

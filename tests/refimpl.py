@@ -181,18 +181,18 @@ def _oracle_token(data: bytes, pos: int):
 
 def _oracle_header_int(data: bytes, pos: int, what: str):
     token, pos = _oracle_token(data, pos)
+    # a number is a run of ASCII digits, and int() refuses one of more than
+    # sys.get_int_max_str_digits() digits
     try:
-        return int(token), pos
+        if token.isdigit():
+            return int(token), pos
     except ValueError:
-        raise PgmError(f"malformed header: {what} is not a number: {token!r}") from None
+        pass
+    raise PgmError(f"malformed header: {what} is not a number: {token!r}")
 
 
 def oracle_load_pgm(data: bytes) -> Image:
-    """Byte-at-a-time PGM decoder: the README grammar, one token per step.
-
-    A P2 sample that is an integer beyond int64 escapes as OverflowError
-    (the package reports it as a sample outside [0, maxval]).
-    """
+    """Byte-at-a-time PGM decoder: the README grammar, one token per step."""
     data = bytes(data)
     try:
         magic, pos = _oracle_token(data, 0)
@@ -227,13 +227,13 @@ def oracle_load_pgm(data: bytes) -> Image:
             if pos >= len(data):
                 raise PgmError(f"truncated pixel data: expected {count} samples, got {len(values)}")
             token, pos = _oracle_token(data, pos)
-            try:
-                values.append(int(token))
-            except ValueError:
-                raise PgmError(f"malformed sample: {token!r}") from None
-        np.asarray(values, dtype=np.int64)  # OverflowError beyond int64
+            if not token.isdigit():
+                raise PgmError(f"malformed sample: {token!r}")
+            # more than three significant digits exceed every maxval
+            significant = token.lstrip(b"0")
+            values.append(int(significant or b"0") if len(significant) <= 3 else 1000)
 
-    if max(values) > maxval or min(values) < 0:
+    if max(values) > maxval:
         raise PgmError(f"sample value outside [0, {maxval}]")
     return Image(np.array(values, dtype=np.uint8).reshape(height, width), maxval)
 

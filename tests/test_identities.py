@@ -1,0 +1,71 @@
+"""Exact identities that follow from the resamplers' stated semantics.
+
+They need no reference, so they reach ratios where the Fraction oracle of
+test_exact is too slow.
+
+- Sub-sampling: output pixel (y·mr + mj, x·mr + mi) at ratio m·r has the
+  offset of pixel (y·r + j, x·r + i) at ratio r, so every method gives
+  resample(img, m·r)[::m, ::m] == resample(img, r).
+- Negation, v -> max_value - v: nn copies pixels, and NNV's tie rule reads
+  positions, not values, so both commute with it. Round half up is not
+  symmetric, so bilinear and bicubic do not.
+- Transposition: nn, bilinear and bicubic apply one rule to both axes, so
+  they commute with it. NNV does not: a midpoint tie goes to the lower
+  position in A/K/P/G order, and transposing swaps K and P.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nnvresize import Image, get_resampler
+
+METHODS = ("nn", "bilinear", "bicubic", "nnv")
+# output pixels of the upscale at ratio m·r, so that each case takes milliseconds
+OUTPUT_BUDGET = 1 << 18
+
+
+@st.composite
+def images(draw):
+    """Up to 6x6, often at few grey levels, where ties are common."""
+    max_value = draw(st.one_of(st.sampled_from([1, 3, 15]), st.integers(1, 255)))
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    flat = draw(st.lists(st.integers(0, max_value), min_size=width * height, max_size=width * height))
+    return Image.from_flat(width, height, flat, max_value)
+
+
+def negate(img: Image) -> Image:
+    return Image(img.max_value - img.pixels, img.max_value)
+
+
+def transpose(img: Image) -> Image:
+    return Image(img.pixels.T, img.max_value)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), img=images(), ratio=st.integers(1, 12))
+def test_subsampled_upscale_is_the_smaller_upscale(method, data, img, ratio):
+    # 2 <= most: a 6x6 source at ratio 12 fits 7 times the ratio in the budget
+    most = min(100, math.isqrt(OUTPUT_BUDGET // (img.width * img.height)) // ratio)
+    m = data.draw(st.integers(2, most), label="m")
+    resample = get_resampler(method)
+    assert (resample(img, m * ratio).pixels[::m, ::m] == resample(img, ratio).pixels).all()
+
+
+@pytest.mark.parametrize("method", ["nn", "nnv"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(img=images(), ratio=st.integers(1, 12))
+def test_negation_commutes(method, img, ratio):
+    resample = get_resampler(method)
+    assert resample(negate(img), ratio) == negate(resample(img, ratio))
+
+
+@pytest.mark.parametrize("method", ["nn", "bilinear", "bicubic"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(img=images(), ratio=st.integers(1, 12))
+def test_transposition_commutes(method, img, ratio):
+    resample = get_resampler(method)
+    assert resample(transpose(img), ratio) == transpose(resample(img, ratio))

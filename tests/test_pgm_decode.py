@@ -2,9 +2,6 @@
 
 refimpl.oracle_load_pgm reads one token per step and shares no code with
 the package. Both must give the same Image or the same PgmError message.
-The one permitted difference: a P2 sample that is an integer beyond int64
-escapes the oracle as OverflowError, and the package reports it as a
-sample outside [0, maxval].
 """
 
 import pytest
@@ -27,13 +24,7 @@ def outcome(decode, data):
 
 def assert_agrees(data: bytes):
     """The package decodes ``data`` as the oracle does; only PgmError escapes."""
-    got = outcome(load_pgm, data)
-    try:
-        want = outcome(oracle_load_pgm, data)
-    except OverflowError:
-        assert isinstance(got, str) and got.startswith("PgmError: sample value outside"), got
-        return
-    assert got == want, data
+    assert outcome(load_pgm, data) == outcome(oracle_load_pgm, data), data
 
 
 # --- strategies ------------------------------------------------------------
@@ -59,15 +50,8 @@ def separator(draw):
 
 @st.composite
 def sample_token(draw, maxval):
-    """A decimal sample, sometimes with a sign, leading zeros or underscores."""
-    digits = str(draw(st.integers(0, maxval))).encode()
-    if len(digits) > 1 and draw(st.booleans()):
-        cut = draw(st.integers(1, len(digits) - 1))
-        digits = digits[:cut] + b"_" + digits[cut:]
-    zeros = b"0" * draw(st.integers(0, 2))
-    # "-" only on zero, where "-0" is still in range
-    sign = draw(st.sampled_from([b"", b"", b"+", b"-" if digits == b"0" else b"+"]))
-    return sign + zeros + digits
+    """A decimal sample, sometimes with leading zeros."""
+    return b"0" * draw(st.integers(0, 2)) + str(draw(st.integers(0, maxval))).encode()
 
 
 @st.composite
@@ -165,6 +149,7 @@ def test_save_then_load_is_identity(data, max_value):
         b"P2 1 1 255\n",
         b"P2 1 1 255 # only\n",
         b"P2 1 1 255 # only",
+        b"P2 1 1 255",  # nothing after maxval
     ],
 )
 def test_blank_raster_has_no_samples(data):
@@ -181,21 +166,21 @@ def test_comment_after_maxval_leaves_no_whitespace_before_raster():
     assert_agrees(data)
 
 
-@pytest.mark.parametrize("body", [b"1 2", b"1 +2"])  # digits-only and token paths
+@pytest.mark.parametrize("body", [b"1 2", b"1 2 \n"])
 def test_short_raster_counts_its_samples(body):
     # np.fromstring with count= larger than the data would return garbage
     with pytest.raises(PgmError, match=r"^truncated pixel data: expected 3 samples, got 2$"):
         load_pgm(b"P2 3 1 255\n" + body)
 
 
-@pytest.mark.parametrize("tail", [b" 3 4\n", b" +3 x"])  # digits-only and token paths
+@pytest.mark.parametrize("tail", [b" 3 4\n", b" +3 x"])  # more samples, or tokens that are none
 def test_samples_past_the_raster_are_ignored(tail):
     assert load_pgm(b"P2 2 1 255\n1 2" + tail).pixels.tolist() == [[1, 2]]
 
 
 @pytest.mark.parametrize("body", [b"1 2 3", b"1 +2 3", b"1 x 3"])
 def test_count_beyond_sys_maxsize(body):
-    # width * height > sys.maxsize must not reach bytes.split as maxsplit
+    # width * height > sys.maxsize must reach no index or count argument
     side = 10**20
     data = b"P2 %d %d 255\n" % (side, side) + body
     assert_agrees(data)
@@ -203,17 +188,14 @@ def test_count_beyond_sys_maxsize(body):
         load_pgm(data)
 
 
-@pytest.mark.parametrize(
-    "sample",
-    [b"99999999999999999999", b"+99999999999999999999", b"-99999999999999999999", b"1" * 5000],
-    ids=["20-digit", "plus-sign", "minus-sign", "5000-digit"],
-)
+@pytest.mark.parametrize("sample", [b"99999999999999999999", b"1" * 5000], ids=["20-digit", "5000-digit"])
 def test_sample_beyond_int64_is_out_of_range(sample):
-    # the oracle raises OverflowError here, or "malformed" for the 5000-digit
-    # token, which int() refuses to convert; both are integers out of range
-    for data in (b"P2 1 1 255 " + sample, b"P2 2 1 255 " + sample + b" +1"):
+    # np.fromstring saturates at the int64 maximum; int() refuses to convert
+    # the 5000-digit run, which is still a number out of range
+    for data in (b"P2 1 1 255 " + sample, b"P2 2 1 255 " + sample + b" 1"):
         with pytest.raises(PgmError, match=r"^sample value outside \[0, 255\]$"):
             load_pgm(data)
+        assert_agrees(data)
 
 
 def test_malformed_sample_wins_over_overflow_and_truncation():
@@ -224,15 +206,31 @@ def test_malformed_sample_wins_over_overflow_and_truncation():
     assert_agrees(data)
 
 
-@pytest.mark.parametrize("token", [b"+7", b"007", b"1_0", b"-0", b"0_0_7"])
+@pytest.mark.parametrize("token", [b"007", b"000"])
 def test_int_literal_forms_accepted(token):
     data = b"P2 2 1 255 " + token + b" 3"
     assert load_pgm(data).pixels.tolist() == [[int(token), 3]]
     assert_agrees(data)
 
 
-@pytest.mark.parametrize("token", [b"1.0", b"0x1", b"1__0", b"_1", b"1_", b"\xd9\xa1", b"+", b"1e2"])
+@pytest.mark.parametrize(
+    "token",
+    [b"1.0", b"0x1", b"1__0", b"_1", b"1_", b"\xd9\xa1", b"+", b"1e2"]
+    # int() literals: a PGM number is a run of ASCII digits, as netpbm reads it
+    + [b"+7", b"-0", b"-5", b"1_0", b"0_0_7", b"+99999999999999999999", b"-99999999999999999999"],
+)
 def test_non_integer_token_is_malformed(token):
     with pytest.raises(PgmError, match=r"^malformed sample: "):
         load_pgm(b"P2 2 1 255 3 " + token)
     assert_agrees(b"P2 2 1 255 3 " + token)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"P2 +2 1 255", b"P2 2 -1 255", b"P2 2 1 +255", b"P5 " + b"1" * 5000 + b" 1 255"],
+    ids=["plus-width", "minus-height", "plus-maxval", "5000-digit-width"],
+)
+def test_header_number_is_a_run_of_digits(header):
+    with pytest.raises(PgmError, match=r"^malformed header: (width|height|maxval) is not a number: "):
+        load_pgm(header + b" 1 2")
+    assert_agrees(header + b" 1 2")
