@@ -286,6 +286,13 @@ class TestLoadPgm:
             load_pgm(data)
         assert str(excinfo.value) == "sample value outside [0, 100]"
 
+    @pytest.mark.parametrize("data", [b"P2 1 1 100 -99999999999999999999"], ids=["p2-below-int64"])
+    def test_signed_p2_sample_is_malformed(self, data):
+        # a PGM number is a run of digits: a minus sign is malformed, never "out of range"
+        with pytest.raises(PgmError) as excinfo:
+            load_pgm(data)
+        assert str(excinfo.value) == "malformed sample: b'-99999999999999999999'"
+
     @pytest.mark.parametrize(
         "header",
         [
