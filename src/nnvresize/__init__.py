@@ -3,7 +3,6 @@ interpolation, with nearest/bilinear/bicubic baselines, PGM I/O, PSNR/MSE
 metrics, and a benchmark harness."""
 
 from .bench import (
-    METHOD_ORDER,
     RESAMPLERS,
     get_resampler,
     report_markdown,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Image",
-    "METHOD_ORDER",
     "MetricsReport",
     "PgmError",
     "RESAMPLERS",

@@ -25,8 +25,6 @@ RESAMPLERS: dict[str, Callable[[Image, int], Image]] = {
     "nnv": resample_nnv,
 }
 
-METHOD_ORDER = tuple(RESAMPLERS)
-
 CSV_HEADER = "image,method,ratio,psnr_db,mse,wall_time_s"
 
 
@@ -38,12 +36,6 @@ class BenchRow:
     psnr_db: float | None
     mse: float
     wall_time_s: float
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    rows: tuple[BenchRow, ...]
-    environment: str
 
 
 def get_resampler(method: str) -> Callable[[Image, int], Image]:
@@ -81,17 +73,18 @@ def time_resample(
 def run_benchmark(
     originals: Iterable[tuple[str, Image]],
     ratios: Iterable[int],
-    methods: Sequence[str] = METHOD_ORDER,
+    methods: Sequence[str] = tuple(RESAMPLERS),
     repeats: int = 5,
-) -> BenchReport:
+) -> tuple[BenchRow, ...]:
     """Full cross product: for every original and ratio, downsample by the
     ratio, upscale back with every method, and score against the original.
 
     The ratios, methods and ``repeats`` are checked before any work;
-    ``originals`` is then iterated once, one original at a time. A ratio
-    or method given more than once runs once, at its first place. Rows
-    come out in (image, ratio, method) order. Methods run sequentially
-    so their timings do not contaminate each other.
+    ``originals`` is then iterated once, one original at a time, and an
+    image name drawn a second time raises ValueError. A ratio or method
+    given more than once runs once, at its first place. Rows come out in
+    (image, ratio, method) order. Methods run sequentially so their
+    timings do not contaminate each other.
     """
     ratios = list(dict.fromkeys(_check_count(ratio, "ratio") for ratio in ratios))
     if not ratios:
@@ -101,8 +94,12 @@ def run_benchmark(
         raise ValueError("no methods requested")
     repeats = _check_count(repeats, "repeats")
 
-    rows = []
+    rows, names = [], set()
     for name, img in originals:
+        # the markdown keys its rows by image name
+        if name in names:
+            raise ValueError(f"image name {name!r} given twice")
+        names.add(name)
         for ratio in ratios:
             small = block_downsample(img, ratio)
             for method, fn in resamplers:
@@ -115,7 +112,7 @@ def run_benchmark(
         del img, small
     if not rows:
         raise ValueError("no input images")
-    return BenchReport(rows=tuple(rows), environment=describe_environment())
+    return tuple(rows)
 
 
 def _fmt_psnr(value: float | None) -> str:
@@ -148,14 +145,15 @@ def _markdown_row(cells: Iterable[str]) -> str:
     return "| " + " | ".join(cell.translate(_MARKDOWN_CELL) for cell in cells) + " |"
 
 
-def report_markdown(report: BenchReport) -> str:
-    """Per-ratio tables, one row per image, PSNR columns then time columns."""
-    ratios = list(dict.fromkeys(r.ratio for r in report.rows))
-    methods = list(dict.fromkeys(r.method for r in report.rows))
-    images = list(dict.fromkeys(r.image_name for r in report.rows))
-    by_key = {(r.image_name, r.method, r.ratio): r for r in report.rows}
+def report_markdown(rows: Iterable[BenchRow]) -> str:
+    """Per-ratio tables, one row per image, PSNR columns then time columns,
+    under this process's environment."""
+    # one pass over the rows, so that a generator serves as well as a tuple;
+    # a dict keeps each key at its first place
+    by_key = {(r.image_name, r.method, r.ratio): r for r in rows}
+    images, methods, ratios = (list(dict.fromkeys(key[n] for key in by_key)) for n in range(3))
 
-    lines = ["# Upscale benchmark", "", f"Environment: {report.environment}"]
+    lines = ["# Upscale benchmark", "", f"Environment: {describe_environment()}"]
     for ratio in ratios:
         header = (
             ["image"]

@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import METHOD_ORDER, RESAMPLERS, report_markdown, rows_to_csv, run_benchmark
+from .bench import RESAMPLERS, report_markdown, rows_to_csv, run_benchmark
 from .image import _check_count, block_downsample, read_pgm, write_pgm
 from .metrics import psnr
 
@@ -55,9 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--ratios", type=_int_list, default=[2, 4], metavar="N,N")
     p_bench.add_argument(
         "--methods",
-        default=",".join(METHOD_ORDER),
+        default=",".join(RESAMPLERS),
         metavar="M,M",
-        help=f"comma-separated subset of: {','.join(METHOD_ORDER)}",
+        help=f"comma-separated subset of: {','.join(RESAMPLERS)}",
     )
     p_bench.add_argument("--csv", required=True, help="output CSV path")
     p_bench.add_argument("--markdown", help="also write the markdown table here")
@@ -105,14 +105,14 @@ def cmd_bench(args) -> int:
         raise ValueError(f"no .pgm files found in {directory}")
     originals = ((path.stem, read_pgm(path)) for path in paths)
     methods = [m for m in args.methods.split(",") if m]
-    report = run_benchmark(originals, args.ratios, methods, repeats=args.repeats)
+    rows = run_benchmark(originals, args.ratios, methods, repeats=args.repeats)
 
-    Path(args.csv).write_text(rows_to_csv(report.rows), encoding="utf-8")
-    markdown = report_markdown(report)
+    Path(args.csv).write_text(rows_to_csv(rows), encoding="utf-8")
+    markdown = report_markdown(rows)
     if args.markdown:
         Path(args.markdown).write_text(markdown, encoding="utf-8")
     print(markdown, end="")
-    print(f"wrote {len(report.rows)} rows to {args.csv}", file=sys.stderr)
+    print(f"wrote {len(rows)} rows to {args.csv}", file=sys.stderr)
     return 0
 
 

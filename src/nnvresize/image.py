@@ -91,18 +91,6 @@ class Image:
         img._pixels, img._max_value = pixels, max_value
         return img
 
-    @classmethod
-    def from_flat(cls, width: int, height: int, values, max_value: int = 255) -> "Image":
-        """Build an image from a flat row-major sequence of intensities;
-        width and height are counts."""
-        width, height = _check_count(width, "width"), _check_count(height, "height")
-        arr = np.asarray(values)
-        if arr.ndim == 0:
-            raise ValueError(f"values must be a sequence of width*height integers, got {type(values).__name__}")
-        if arr.size != width * height:
-            raise ValueError(f"expected {width * height} values for {width}x{height}, got {arr.size}")
-        return cls(arr.reshape(height, width), max_value)
-
     @property
     def width(self) -> int:
         return self._pixels.shape[1]

@@ -30,25 +30,25 @@ def originals(rng):
 
 class TestRunBenchmark:
     def test_full_cross_product(self, originals):
-        report = run_benchmark(originals, ratios=[2, 4], repeats=1)
-        assert len(report.rows) == 2 * 2 * 4
-        keys = {(r.image_name, r.method, r.ratio) for r in report.rows}
-        assert len(keys) == len(report.rows)
+        rows = run_benchmark(originals, ratios=[2, 4], repeats=1)
+        assert len(rows) == 2 * 2 * 4
+        keys = {(r.image_name, r.method, r.ratio) for r in rows}
+        assert len(keys) == len(rows)
 
     def test_repeated_ratios_and_methods_run_once(self, originals):
-        report = run_benchmark(originals, ratios=[2, 2, np.int64(2)], methods=["nn", "nn"], repeats=1)
-        assert [(r.image_name, r.method, r.ratio) for r in report.rows] == [
+        rows = run_benchmark(originals, ratios=[2, 2, np.int64(2)], methods=["nn", "nn"], repeats=1)
+        assert [(r.image_name, r.method, r.ratio) for r in rows] == [
             ("gradient", "nn", 2),
             ("noise", "nn", 2),
         ]
 
     def test_first_occurrence_sets_the_order(self, originals):
-        report = run_benchmark(originals[:1], ratios=[4, 2, 4], methods=["nnv", "nn", "nnv"], repeats=1)
-        assert [(r.ratio, r.method) for r in report.rows] == [(4, "nnv"), (4, "nn"), (2, "nnv"), (2, "nn")]
+        rows = run_benchmark(originals[:1], ratios=[4, 2, 4], methods=["nnv", "nn", "nnv"], repeats=1)
+        assert [(r.ratio, r.method) for r in rows] == [(4, "nnv"), (4, "nn"), (2, "nnv"), (2, "nn")]
 
     def test_row_ordering(self, originals):
-        report = run_benchmark(originals, ratios=[2, 4], methods=("nn", "nnv"), repeats=1)
-        triples = [(r.image_name, r.ratio, r.method) for r in report.rows]
+        rows = run_benchmark(originals, ratios=[2, 4], methods=("nn", "nnv"), repeats=1)
+        triples = [(r.image_name, r.ratio, r.method) for r in rows]
         assert triples == [
             ("gradient", 2, "nn"),
             ("gradient", 2, "nnv"),
@@ -62,14 +62,14 @@ class TestRunBenchmark:
 
     def test_constant_image_yields_undefined_psnr(self):
         flat = [("flat", Image(np.full((8, 8), 5, dtype=np.uint8)))]
-        report = run_benchmark(flat, ratios=[2], repeats=1)
-        assert all(r.psnr_db is None and r.mse == 0.0 for r in report.rows)
+        rows = run_benchmark(flat, ratios=[2], repeats=1)
+        assert all(r.psnr_db is None and r.mse == 0.0 for r in rows)
 
     def test_scores_are_deterministic_across_runs(self, originals):
         first = run_benchmark(originals, ratios=[2, 4], repeats=1)
         second = run_benchmark(originals, ratios=[2, 4], repeats=1)
         score = lambda rows: [(r.image_name, r.method, r.ratio, r.psnr_db, r.mse) for r in rows]
-        assert score(first.rows) == score(second.rows)
+        assert score(first) == score(second)
 
     def test_rejects_empty_inputs(self):
         with pytest.raises(ValueError):
@@ -112,13 +112,21 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="divisible"):
             run_benchmark([("odd", random_image(rng, 9, 9))], ratios=[2], repeats=1)
 
+    def test_rejects_a_repeated_image_name_before_downsampling_it(self, rng):
+        # the markdown keys its table by image name, so a second "x" would
+        # drop the first one's scores; 9x9 is not divisible by 2, so the
+        # name is checked before the downsample
+        twice = [("x", random_image(rng, 4, 4)), ("x", random_image(rng, 9, 9))]
+        with pytest.raises(ValueError, match=r"^image name 'x' given twice$"):
+            run_benchmark(twice, ratios=[2], methods=["nn"], repeats=1)
+
     def test_rejects_unknown_method(self, originals):
         with pytest.raises(ValueError, match="unknown method"):
             run_benchmark(originals, ratios=[2], methods=("lanczos",))
 
     def test_timing_is_nonnegative(self, originals):
-        report = run_benchmark(originals, ratios=[2], repeats=3)
-        assert all(r.wall_time_s >= 0.0 for r in report.rows)
+        rows = run_benchmark(originals, ratios=[2], repeats=3)
+        assert all(r.wall_time_s >= 0.0 for r in rows)
 
     def test_releases_each_original_before_drawing_the_next(self, rng):
         # an original and its downsampled and upscaled copies are 144 KiB
@@ -170,16 +178,16 @@ class TestTimeResample:
 
 class TestCsv:
     def test_header_and_shape(self, originals):
-        report = run_benchmark(originals, ratios=[2], repeats=1)
-        text = rows_to_csv(report.rows)
+        rows = run_benchmark(originals, ratios=[2], repeats=1)
+        text = rows_to_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER == "image,method,ratio,psnr_db,mse,wall_time_s"
-        assert len(lines) == 1 + len(report.rows)
+        assert len(lines) == 1 + len(rows)
         assert all(line.count(",") == 5 for line in lines)
 
     def test_psnr_has_four_decimals(self, originals):
-        report = run_benchmark(originals, ratios=[2], repeats=1)
-        for line in rows_to_csv(report.rows).strip().split("\n")[1:]:
+        rows = run_benchmark(originals, ratios=[2], repeats=1)
+        for line in rows_to_csv(rows).strip().split("\n")[1:]:
             psnr_field = line.split(",")[3]
             if psnr_field != "undefined":
                 assert len(psnr_field.split(".")[1]) == 4
@@ -205,22 +213,26 @@ class TestCsv:
 
     def test_undefined_psnr_spelled_out(self):
         flat = [("flat", Image(np.full((4, 4), 1, dtype=np.uint8)))]
-        report = run_benchmark(flat, ratios=[2], repeats=1)
-        assert ",undefined,0.000000," in rows_to_csv(report.rows)
+        rows = run_benchmark(flat, ratios=[2], repeats=1)
+        assert ",undefined,0.000000," in rows_to_csv(rows)
 
 
 class TestMarkdown:
     def test_one_table_per_ratio(self, originals):
-        report = run_benchmark(originals, ratios=[2, 4], repeats=1)
-        text = report_markdown(report)
+        rows = run_benchmark(originals, ratios=[2, 4], repeats=1)
+        text = report_markdown(rows)
         assert "## ratio = 2" in text and "## ratio = 4" in text
         assert text.count("| gradient |") == 2
         assert "nnv PSNR (dB)" in text and "nn time (s)" in text
 
+    def test_takes_rows_from_a_generator(self, originals):
+        rows = run_benchmark(originals, ratios=[2, 4], repeats=1)
+        assert report_markdown(r for r in rows) == report_markdown(rows)
+
     def test_environment_note_present(self, originals):
-        report = run_benchmark(originals, ratios=[2], repeats=1)
-        assert "Environment:" in report_markdown(report)
+        rows = run_benchmark(originals, ratios=[2], repeats=1)
+        assert "Environment:" in report_markdown(rows)
 
     def test_carriage_return_in_a_name_becomes_a_space(self, rng):
-        report = run_benchmark([("cr\rname", random_image(rng, 4, 4))], ratios=[2], methods=["nn"], repeats=1)
-        assert "| cr name |" in report_markdown(report)
+        rows = run_benchmark([("cr\rname", random_image(rng, 4, 4))], ratios=[2], methods=["nn"], repeats=1)
+        assert "| cr name |" in report_markdown(rows)

@@ -94,7 +94,7 @@ def test_bicubic_past_int64_range_across_band_seams():
 def check_random_image(data, method, ratio, max_value):
     width, height = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
     flat = data.draw(st.lists(st.integers(0, max_value), min_size=width * height, max_size=width * height))
-    img = Image.from_flat(width, height, flat, max_value)
+    img = Image(np.reshape(flat, (height, width)), max_value)
     out = get_resampler(method)(img, ratio)
     assert out == exact_resample(method, img, ratio)
     if method == "nnv":

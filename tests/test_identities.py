@@ -1,7 +1,7 @@
 """Exact identities that follow from the resamplers' stated semantics.
 
-They need no reference, so they reach ratios where the Fraction oracle of
-test_exact is too slow.
+They need no per-pixel reference, so they reach ratios where the Fraction
+oracle of test_exact is too slow.
 
 - Sub-sampling: output pixel (y·mr + mj, x·mr + mi) at ratio m·r has the
   offset of pixel (y·r + j, x·r + i) at ratio r, so every method gives
@@ -11,16 +11,22 @@ test_exact is too slow.
   symmetric, so bilinear and bicubic do not.
 - Transposition: nn, bilinear and bicubic apply one rule to both axes, so
   they commute with it. NNV does not: a midpoint tie goes to the lower
-  position in A/K/P/G order, and transposing swaps K and P.
+  position in A/K/P/G order, and transposing swaps K and P. So the two
+  differ only at such ties, where the transposed source picks first in
+  A/P/K/G order.
 """
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnvresize import Image, get_resampler
+from nnvresize import Image, get_resampler, resample_nnv
+
+from refimpl import cell_values, oracle_unique_mode
 
 METHODS = ("nn", "bilinear", "bicubic", "nnv")
 # output pixels of the upscale at ratio m·r, so that each case takes milliseconds
@@ -33,7 +39,7 @@ def images(draw):
     max_value = draw(st.one_of(st.sampled_from([1, 3, 15]), st.integers(1, 255)))
     width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     flat = draw(st.lists(st.integers(0, max_value), min_size=width * height, max_size=width * height))
-    return Image.from_flat(width, height, flat, max_value)
+    return Image(np.reshape(flat, (height, width)), max_value)
 
 
 def negate(img: Image) -> Image:
@@ -69,3 +75,22 @@ def test_negation_commutes(method, img, ratio):
 def test_transposition_commutes(method, img, ratio):
     resample = get_resampler(method)
     assert resample(transpose(img), ratio) == transpose(resample(img, ratio))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(img=images(), ratio=st.integers(1, 8))
+def test_nnv_under_transposition_differs_only_at_midpoint_ties(img, ratio):
+    plain = resample_nnv(img, ratio).pixels
+    turned = resample_nnv(transpose(img), ratio).pixels.T
+    cells = cell_values(img, ratio)
+    for y, x in zip(*np.nonzero(plain != turned)):
+        a, k, p, g = cell = [int(v[y, x]) for v in cells]
+        i, j = x % ratio, y % ratio
+        blend = Fraction((ratio - i) * (ratio - j) * a + i * (ratio - j) * k + (ratio - i) * j * p + i * j * g, ratio**2)
+        gaps = [abs(v - blend) for v in cell]
+        nearest = [n for n in range(4) if gaps[n] == min(gaps)]
+        # an exact midpoint between two values of a cell without a mode
+        assert oracle_unique_mode(cell) is None and len({cell[n] for n in nearest}) == 2, (cell, blend)
+        # positions 0..3 are A, K, P, G; the transposed source has K and P swapped
+        assert plain[y, x] == cell[min(nearest)]
+        assert turned[y, x] == cell[min(nearest, key=(0, 2, 1, 3).index)]

@@ -50,10 +50,6 @@ class TestImage:
     def test_get_takes_numpy_integers(self):
         assert Image([[1, 2], [3, 4]]).get(np.int64(1), np.uint8(1)) == 4
 
-    def test_from_flat_row_major(self):
-        img = Image.from_flat(2, 2, [10, 20, 30, 40])
-        assert img.pixels.tolist() == [[10, 20], [30, 40]]
-
     def test_pixels_are_read_only(self):
         img = Image([[1]])
         with pytest.raises(ValueError):
@@ -144,27 +140,6 @@ class TestImage:
     def test_grid_must_be_two_dimensional(self, shape):
         with pytest.raises(ValueError, match=rf"^expected a 2-D pixel grid, got ndim={len(shape)}$"):
             Image(np.zeros(shape, dtype=np.uint8))
-
-    @pytest.mark.parametrize("values", [(i for i in range(4)), 4], ids=["generator", "scalar"])
-    def test_from_flat_refuses_a_non_sequence(self, values):
-        kind = type(values).__name__
-        with pytest.raises(ValueError, match=rf"^values must be a sequence of width\*height integers, got {kind}$"):
-            Image.from_flat(2, 2, values)
-
-    def test_from_flat_counts_its_values(self):
-        with pytest.raises(ValueError, match=r"^expected 4 values for 2x2, got 3$"):
-            Image.from_flat(2, 2, [1, 2, 3])
-
-    @pytest.mark.parametrize("bad", [-1, 0, 2.0, True])
-    @pytest.mark.parametrize("name", ["width", "height"])
-    def test_from_flat_refuses_a_dimension_that_is_no_count(self, name, bad):
-        size = {"width": 2, "height": 2, name: bad}
-        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got {bad!r}$"):
-            Image.from_flat(size["width"], size["height"], range(4))
-
-    def test_from_flat_checks_the_width_first(self):
-        with pytest.raises(ValueError, match=r"^width must be an integer >= 1, got -1$"):
-            Image.from_flat(-1, -4, range(4))
 
     def test_value_above_max_rejected(self):
         with pytest.raises(ValueError):

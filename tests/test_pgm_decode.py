@@ -4,6 +4,7 @@ refimpl.oracle_load_pgm reads one token per step and shares no code with
 the package. Both must give the same Image or the same PgmError message.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,7 +71,7 @@ def p2_encoding(draw):
     # trailing data: nothing, junk, or more samples than the header asks for
     extra = st.lists(st.integers(0, 999), max_size=3).map(lambda v: b" ".join(b"%d" % n for n in v))
     out += draw(st.one_of(st.just(b""), st.binary(max_size=8), extra))
-    return out, Image.from_flat(width, height, [int(t) for t in tokens], maxval)
+    return out, Image(np.reshape([int(t) for t in tokens], (height, width)), maxval)
 
 
 @st.composite
@@ -81,7 +82,7 @@ def valid_pgm(draw):
     width, height = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     maxval = draw(st.integers(1, 255))
     flat = draw(st.lists(st.integers(0, maxval), min_size=width * height, max_size=width * height))
-    return save_pgm(Image.from_flat(width, height, flat, maxval))
+    return save_pgm(Image(np.reshape(flat, (height, width)), maxval))
 
 
 @st.composite
@@ -135,7 +136,7 @@ def test_mutated_pgm_matches_oracle(data):
 def test_save_then_load_is_identity(data, max_value):
     width, height = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
     flat = data.draw(st.lists(st.integers(0, max_value), min_size=width * height, max_size=width * height))
-    img = Image.from_flat(width, height, flat, max_value)
+    img = Image(np.reshape(flat, (height, width)), max_value)
     assert load_pgm(save_pgm(img)) == img
 
 

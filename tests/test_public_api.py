@@ -4,7 +4,6 @@ import nnvresize
 
 PUBLIC_NAMES = [
     "Image",
-    "METHOD_ORDER",
     "MetricsReport",
     "PgmError",
     "RESAMPLERS",
