@@ -15,8 +15,11 @@ _COMMENT = re.compile(rb"#[^\r\n]*")
 # whitespace and comments, then the token they precede (empty at the end)
 _TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]+|" + _COMMENT.pattern + rb")*([^ \t\n\r\x0b\x0c#]*)")
 
-# bytes of work per band: small enough that a band's temporaries stay in
-# cache, large enough that a small image runs as one band
+# bytes of work per band (a resampler's output), chosen by measurement,
+# not to fit a cache: NNV's temporaries for a 512-wide source at ratio 2
+# are about 6 MiB. Over the scale-photo mix on 2 vCPUs, NNV took 155, 103,
+# 72-80, 71 and 69-70 ms at 64, 128, 256, 512 and 1024 KiB, and bicubic
+# was slower at 1024 KiB than at 512. A small image runs as one band.
 _BAND_BYTES = 512 * 1024
 # a reduction's inputs and temporaries per source pixel, rounded up: mse
 # reads two uint8 pixels into a uint8 difference (the larger minus the
@@ -55,8 +58,8 @@ def _check_range(arr: np.ndarray, max_value: int) -> None:
 class Image:
     """Immutable grayscale raster with an explicit intensity ceiling.
 
-    Pixels are stored row-major as uint8; coordinates are (x = column,
-    y = row) with the origin at the top-left corner. The constructor
+    Pixels are stored row-major as uint8 with the origin at the top-left
+    corner, so ``pixels[y, x]`` is column x of row y. The constructor
     checks the caller's array and stores a copy of it, so the caller's
     array stays writable, and later writes to it, or to what it views,
     do not reach the image. The package's own outputs and a decoded P5
@@ -108,25 +111,12 @@ class Image:
         """Read-only (height, width) uint8 array."""
         return self._pixels
 
-    def get(self, x: int, y: int) -> int:
-        """Intensity at column x, row y: TypeError unless both are
-        integers, IndexError outside the image."""
-        if not (_is_integer(x) and _is_integer(y)):
-            raise TypeError(f"coordinates must be integers, got ({x!r}, {y!r})")
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise IndexError(f"({x}, {y}) is outside the {self.width}x{self.height} image")
-        return int(self._pixels[y, x])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Image):
             return NotImplemented
-        return (
-            self._max_value == other._max_value
-            and self._pixels.shape == other._pixels.shape
-            and bool(np.array_equal(self._pixels, other._pixels))
+        return self._max_value == other._max_value and bool(
+            np.array_equal(self._pixels, other._pixels)
         )
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"Image({self.width}x{self.height}, max_value={self._max_value})"

@@ -66,14 +66,17 @@ def _banded(img: Image, ratio, before: int, after: int, kernel: Kernel) -> Image
     return Image._adopt(out, img.max_value)
 
 
-def _weighted_sum(terms, views, out: np.ndarray, product: np.ndarray) -> None:
-    """out = sum(c * views[t]) over the (c, t) in ``terms``, each c a
-    scalar; ``product`` is a buffer shaped like ``out`` that takes each
-    product."""
-    (c, t), *rest = terms
-    np.multiply(views[t], c, out=out)
-    for c, t in rest:
-        out += np.multiply(views[t], c, out=product)
+def _phase_sums(weights: np.ndarray, views):
+    """Yield sum(c * views[t]) over the nonzero weights c = row[t] of each
+    row of ``weights``, in order. Every phase's sum is yielded in the same
+    buffer shaped like a view, which the next phase overwrites."""
+    total, product = np.empty_like(views[0]), np.empty_like(views[0])
+    for row in weights:
+        (c, t), *rest = [(c, t) for t, c in enumerate(row) if c]
+        np.multiply(views[t], c, out=total)
+        for c, t in rest:
+            total += np.multiply(views[t], c, out=product)
+        yield total
 
 
 def _cubic_weights(ratio: int) -> np.ndarray:
@@ -124,10 +127,7 @@ def _horizontal_half_up(band: np.ndarray, weights: np.ndarray, max_value: int) -
     src = band.astype(dtype)
     cols = [src[:, t : t + w] for t in range(taps)]
     mid = np.empty((rows, w * ratio), dtype)
-    total = np.empty((rows, w), dtype)
-    product = np.empty_like(total)
-    for i, row in enumerate(2 * weights.astype(dtype)):
-        _weighted_sum([(c, t) for t, c in enumerate(row) if c], cols, total, product)
+    for i, total in enumerate(_phase_sums(2 * weights.astype(dtype), cols)):
         # the kernel's one strided write, 1/ratio the size of its output
         np.add(total, d, out=mid[:, i::ratio])
     return mid
@@ -148,10 +148,7 @@ def _bicubic(band: np.ndarray, ratio: int, max_value: int, out: np.ndarray) -> N
     mid = _horizontal_half_up(band, weights, max_value)
     n = out.shape[0]
     rows = [mid[t : t + n] for t in range(4)]
-    num = np.empty((n, mid.shape[1]), mid.dtype)
-    product = np.empty_like(num)
-    for j, row in enumerate(weights.astype(mid.dtype)):
-        _weighted_sum([(c, t) for t, c in enumerate(row) if c], rows, num, product)
+    for j, num in enumerate(_phase_sums(weights.astype(mid.dtype), rows)):
         num //= 2 * d * d
         np.clip(num, 0, max_value, out=out[:, j], casting="unsafe")
 

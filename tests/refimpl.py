@@ -26,6 +26,11 @@ HALF = Fraction(1, 2)
 CUBIC_A = Fraction(-1, 2)
 
 
+def pixel(img: Image, x: int, y: int) -> int:
+    """Intensity of ``img`` at column x, row y."""
+    return int(img.pixels[y, x])
+
+
 def _locate(index: int, ratio: int, size: int):
     """(base, clamped companion, exact offset) of an output index."""
     base, rem = divmod(index, ratio)

@@ -36,7 +36,7 @@ from conftest import (
     random_image,
     timing_image,
 )
-from refimpl import cell_values, exact_resample, oracle_nnv_centered, oracle_unique_mode
+from refimpl import cell_values, exact_resample, oracle_nnv_centered, oracle_unique_mode, pixel
 
 # Externally reported NNV scores for the classic 512x512 set at ratio 4.
 # Calibration targets only: deltas are printed, never asserted.
@@ -69,7 +69,7 @@ def test_criterion_1_nnv_pixel_matches_brute_force_oracle():
     mismatches = sum(
         1
         for a, k, p, g in itertools.product(alphabet, repeat=4)
-        if resample_nnv(Image([[a, k], [p, g]]), 2).get(1, 1) != oracle_nnv_centered(a, k, p, g)
+        if pixel(resample_nnv(Image([[a, k], [p, g]]), 2), 1, 1) != oracle_nnv_centered(a, k, p, g)
     )
     elapsed = time.perf_counter() - start
     _report(
@@ -142,7 +142,7 @@ def test_criterion_5_bilinear_ramp_and_kernel_partition():
             for y in range(5 * ratio):  # interior loci: no clamped support
                 for x in range(5 * ratio):
                     ramp = slope_x * Fraction(x, ratio) + slope_y * Fraction(y, ratio) + offset
-                    ramp_errors += out.get(x, y) != math.floor(ramp + half)
+                    ramp_errors += pixel(out, x, y) != math.floor(ramp + half)
 
     partition_errors = sum(
         1 for r in range(1, 13) if np.any(_cubic_weights(r).sum(axis=1) != 2 * r**3)

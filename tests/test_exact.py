@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from nnvresize import Image, get_resampler
 
 from conftest import band_bytes, random_image
-from refimpl import cell_values, exact_pixel, exact_resample
+from refimpl import cell_values, exact_pixel, exact_resample, pixel
 
 METHODS = ("nn", "bilinear", "bicubic", "nnv")
 RATIOS = range(1, 13)
@@ -68,7 +68,7 @@ def test_half_way_bilinear_rounds_up_at_ratio_6():
     # value is exactly 3/2, so round half up gives 2
     img = Image([[0, 1], [3, 2]])
     assert exact_pixel("bilinear", img.pixels.tolist(), 255, 6, 4, 3) == 2
-    assert get_resampler("bilinear")(img, 6).get(4, 3) == 2
+    assert pixel(get_resampler("bilinear")(img, 6), 4, 3) == 2
 
 
 def check_bicubic_at_ratio_400(img):

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from nnvresize import Image, get_resampler, resample_nnv
 
+from conftest import random_image
 from refimpl import cell_values, oracle_unique_mode
 
 METHODS = ("nn", "bilinear", "bicubic", "nnv")
@@ -59,6 +60,26 @@ def test_subsampled_upscale_is_the_smaller_upscale(method, data, img, ratio):
     m = data.draw(st.integers(2, most), label="m")
     resample = get_resampler(method)
     assert (resample(img, m * ratio).pixels[::m, ::m] == resample(img, ratio).pixels).all()
+
+
+# large ratios on the smallest source: 1108 for nn, bilinear and nnv, and
+# for bicubic 378, the first ratio of its Python-int object arrays, as it
+# takes seconds at 1108
+@pytest.mark.parametrize(
+    "method, ratio, factors",
+    [
+        ("nn", 1108, (2, 4, 277)),
+        ("bilinear", 1108, (2, 4, 277)),
+        ("nnv", 1108, (2, 4, 277)),
+        ("bicubic", 378, (2, 3, 7, 9, 14, 27)),
+    ],
+)
+def test_subsampling_holds_at_large_ratios(rng, method, ratio, factors):
+    img = random_image(rng, 2, 2)
+    resample = get_resampler(method)
+    big = resample(img, ratio).pixels
+    for m in factors:
+        assert (big[::m, ::m] == resample(img, ratio // m).pixels).all(), m
 
 
 @pytest.mark.parametrize("method", ["nn", "nnv"])

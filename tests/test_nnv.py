@@ -21,6 +21,7 @@ from refimpl import (
     oracle_first_argmin,
     oracle_nnv_centered,
     oracle_unique_mode,
+    pixel,
 )
 
 
@@ -35,7 +36,7 @@ def _fill(cell, ratio):
 
 def _centered(cell):
     """NNV value at offset (1/2, 1/2) of the cell."""
-    return resample_nnv(_cell(*cell), 2).get(1, 1)
+    return pixel(resample_nnv(_cell(*cell), 2), 1, 1)
 
 
 class TestMode4:
@@ -72,7 +73,7 @@ class TestAbsDiffs:
 
     def test_centered_cell(self):
         # b = 25, gaps (15, 5, 5, 15)
-        assert resample_bilinear(_cell(10, 20, 30, 40), 2).get(1, 1) == 25
+        assert pixel(resample_bilinear(_cell(10, 20, 30, 40), 2), 1, 1) == 25
         assert _centered((10, 20, 30, 40)) == 20
 
     def test_constant_cell(self):
@@ -82,15 +83,15 @@ class TestAbsDiffs:
 
     def test_single_bright_corner(self):
         # b = 1, gaps (1, 1, 1, 3); the mode 0 wins anyway
-        assert resample_bilinear(_cell(0, 0, 0, 4), 2).get(1, 1) == 1
+        assert pixel(resample_bilinear(_cell(0, 0, 0, 4), 2), 1, 1) == 1
         assert _centered((0, 0, 0, 4)) == 0
 
     def test_offsets_weight_the_estimate(self):
         img = _cell(0, 100, 0, 100)
-        assert resample_bilinear(img, 4).get(1, 2) == 25
+        assert pixel(resample_bilinear(img, 4), 1, 2) == 25
         out = resample_nnv(img, 4)
-        assert out.get(1, 2) == 0  # b = 25
-        assert out.get(3, 2) == 100  # b = 75
+        assert pixel(out, 1, 2) == 0  # b = 25
+        assert pixel(out, 3, 2) == 100  # b = 75
 
 
 class TestSelectNeighbor:
@@ -103,11 +104,11 @@ class TestSelectNeighbor:
 
     def test_mode_is_not_minimum(self):
         # offset (1/2, 1/4): b = 20, gaps (0, 10, 10, 20)
-        assert resample_nnv(_cell(20, 10, 30, 40), 4).get(2, 1) == 20
+        assert pixel(resample_nnv(_cell(20, 10, 30, 40), 4), 2, 1) == 20
 
     def test_tied_pairs_take_first_minimum(self):
         # offset (1/2, 0): b = 25, gaps (5, 5, 15, 15)
-        assert resample_nnv(_cell(20, 30, 10, 40), 4).get(2, 0) == 20
+        assert pixel(resample_nnv(_cell(20, 30, 10, 40), 4), 2, 0) == 20
 
     def test_first_minimum_not_in_front(self):
         # b = 25, gaps (15, 5, 5, 15)
@@ -115,7 +116,7 @@ class TestSelectNeighbor:
 
     def test_all_distinct(self):
         # offset (1/4, 3/4): b = 27.5, gaps (17.5, 7.5, 2.5, 12.5)
-        assert resample_nnv(_cell(10, 20, 30, 40), 4).get(1, 3) == 30
+        assert pixel(resample_nnv(_cell(10, 20, 30, 40), 4), 1, 3) == 30
 
     def test_dispatch_equals_first_argmin_exhaustively(self):
         # all 625 centered cells over a 5-value alphabet
@@ -142,8 +143,8 @@ class TestSelectNeighbor:
 class TestNnvPixel:
     def test_mode_branch_skips_bilinear(self):
         # offset (9/10, 9/10): b = 8.42 is nearest 9, but the mode 5 wins
-        assert resample_bilinear(_cell(5, 5, 7, 9), 10).get(9, 9) == 8
-        assert resample_nnv(_cell(5, 5, 7, 9), 10).get(9, 9) == 5
+        assert pixel(resample_bilinear(_cell(5, 5, 7, 9), 10), 9, 9) == 8
+        assert pixel(resample_nnv(_cell(5, 5, 7, 9), 10), 9, 9) == 5
 
     def test_all_distinct_follows_bilinear_guide(self):
         assert _centered((10, 20, 30, 40)) == 20
@@ -185,9 +186,9 @@ class TestResampleNnv:
 
     def test_hand_traced_2x2(self):
         out = resample_nnv(Image([[10, 20], [30, 40]]), 2)
-        assert out.get(1, 1) == 20  # centered cell follows the bilinear guide
-        assert out.get(1, 0) == 10  # dy=0 row: all distinct, first minimum is A
-        assert out.get(0, 0) == 10  # exact site copies the source
+        assert pixel(out, 1, 1) == 20  # centered cell follows the bilinear guide
+        assert pixel(out, 1, 0) == 10  # dy=0 row: all distinct, first minimum is A
+        assert pixel(out, 0, 0) == 10  # exact site copies the source
 
     def test_source_sites_preserved(self, rng):
         img = random_image(rng, 5, 7)
@@ -229,4 +230,4 @@ class TestResampleNnv:
     def test_degenerate_border_cells_replicate_edges(self):
         # bottom-right corner cell collapses to a single source pixel
         out = resample_nnv(Image([[1, 2], [3, 200]]), 3)
-        assert out.get(5, 5) == 200
+        assert pixel(out, 5, 5) == 200
