@@ -8,7 +8,6 @@ from .bench import (
     report_markdown,
     rows_to_csv,
     run_benchmark,
-    time_resample,
 )
 from .image import (
     Image,
@@ -44,6 +43,5 @@ __all__ = [
     "rows_to_csv",
     "run_benchmark",
     "save_pgm",
-    "time_resample",
     "write_pgm",
 ]

@@ -53,23 +53,6 @@ def describe_environment() -> str:
     )
 
 
-def time_resample(
-    resampler: Callable[[Image, int], Image], img: Image, ratio: int, repeats: int = 5
-) -> tuple[Image, float]:
-    """Run the resampler repeatedly; return its output and the median
-    wall time of the calls alone (no I/O, single thread). ``repeats`` is
-    checked before the first call."""
-    repeats = _check_count(repeats, "repeats")
-    times = []
-    for _ in range(repeats):
-        # let the previous output go first, so one output is held at a time
-        out = None
-        start = time.perf_counter()
-        out = resampler(img, ratio)
-        times.append(time.perf_counter() - start)
-    return out, statistics.median(times)
-
-
 def run_benchmark(
     originals: Iterable[tuple[str, Image]],
     ratios: Iterable[int],
@@ -83,8 +66,9 @@ def run_benchmark(
     ``originals`` is then iterated once, one original at a time, and an
     image name drawn a second time raises ValueError. A ratio or method
     given more than once runs once, at its first place. Rows come out in
-    (image, ratio, method) order. Methods run sequentially so their
-    timings do not contaminate each other.
+    (image, ratio, method) order. Each method's time is the median of
+    ``repeats`` calls of it alone (no I/O, single thread), and methods run
+    one after another so their timings do not contaminate each other.
     """
     ratios = list(dict.fromkeys(_check_count(ratio, "ratio") for ratio in ratios))
     if not ratios:
@@ -103,13 +87,18 @@ def run_benchmark(
         for ratio in ratios:
             small = block_downsample(img, ratio)
             for method, fn in resamplers:
-                upscaled, wall = time_resample(fn, small, ratio, repeats)
+                times = []
+                for _ in range(repeats):
+                    # free the previous output, this method's or the last
+                    # one's, so that one output is held at a time
+                    upscaled = None
+                    start = time.perf_counter()
+                    upscaled = fn(small, ratio)
+                    times.append(time.perf_counter() - start)
                 report = psnr(img, upscaled)
-                rows.append(BenchRow(name, method, ratio, report.psnr_db, report.mse, wall))
-                # free this output before the next method makes its own
-                del upscaled, report
+                rows.append(BenchRow(name, method, ratio, report.psnr_db, report.mse, statistics.median(times)))
         # free this original's arrays before the next one is drawn and decoded
-        del img, small
+        del img, small, upscaled
     if not rows:
         raise ValueError("no input images")
     return tuple(rows)
@@ -147,7 +136,8 @@ def _markdown_row(cells: Iterable[str]) -> str:
 
 def report_markdown(rows: Iterable[BenchRow]) -> str:
     """Per-ratio tables, one row per image, PSNR columns then time columns,
-    under this process's environment."""
+    under this process's environment. A (image, method, ratio) without a
+    row gets empty cells."""
     # one pass over the rows, so that a generator serves as well as a tuple;
     # a dict keeps each key at its first place
     by_key = {(r.image_name, r.method, r.ratio): r for r in rows}
@@ -165,8 +155,8 @@ def report_markdown(rows: Iterable[BenchRow]) -> str:
         lines.append("|" + "---|" * len(header))
         for name in images:
             cells = [name]
-            picked = [by_key[(name, m, ratio)] for m in methods]
-            cells += [_fmt_psnr(r.psnr_db) for r in picked]
-            cells += [f"{r.wall_time_s:.6f}" for r in picked]
+            picked = [by_key.get((name, m, ratio)) for m in methods]
+            cells += ["" if r is None else _fmt_psnr(r.psnr_db) for r in picked]
+            cells += ["" if r is None else f"{r.wall_time_s:.6f}" for r in picked]
             lines.append(_markdown_row(cells))
     return "\n".join(lines) + "\n"

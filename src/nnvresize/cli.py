@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="downsample each PGM in a directory, upscale back with every method, report PSNR and wall time",
+        help="downsample each PGM in a directory, upscale back with every method, print PSNR and wall time as markdown",
     )
     p_bench.add_argument("directory", help="directory of original PGM images")
     p_bench.add_argument("--ratios", type=_int_list, default=[2, 4], metavar="N,N")
@@ -60,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of: {','.join(RESAMPLERS)}",
     )
     p_bench.add_argument("--csv", required=True, help="output CSV path")
-    p_bench.add_argument("--markdown", help="also write the markdown table here")
     p_bench.add_argument("--repeats", type=_positive_int, default=5, help="timing repetitions (median is reported)")
     p_bench.set_defaults(run=cmd_bench)
     return parser
@@ -108,10 +107,7 @@ def cmd_bench(args) -> int:
     rows = run_benchmark(originals, args.ratios, methods, repeats=args.repeats)
 
     Path(args.csv).write_text(rows_to_csv(rows), encoding="utf-8")
-    markdown = report_markdown(rows)
-    if args.markdown:
-        Path(args.markdown).write_text(markdown, encoding="utf-8")
-    print(markdown, end="")
+    print(report_markdown(rows), end="")
     print(f"wrote {len(rows)} rows to {args.csv}", file=sys.stderr)
     return 0
 

@@ -22,9 +22,8 @@ from nnvresize import (
     get_resampler,
     psnr,
     resample_bilinear,
-    resample_nn,
     resample_nnv,
-    time_resample,
+    run_benchmark,
     write_pgm,
 )
 from nnvresize.resample import _cubic_weights
@@ -225,12 +224,12 @@ def test_criterion_8_nnv_slower_than_nn(standard_originals):
     subjects = standard_originals or [timing_image()]
     ordering_ok = True
     details = []
-    for name, img in subjects:
-        small = block_downsample(img, 4)
-        _, wall_nn = time_resample(resample_nn, small, 4, repeats=5)
-        _, wall_nnv = time_resample(resample_nnv, small, 4, repeats=5)
+    # rows come in (image, method) order, so they pair up as (nn, nnv)
+    rows = run_benchmark(subjects, [4], ("nn", "nnv"), repeats=5)
+    for nn, nnv in zip(rows[::2], rows[1::2]):
+        wall_nn, wall_nnv = nn.wall_time_s, nnv.wall_time_s
         ordering_ok &= wall_nnv > wall_nn
-        details.append(f"{name}: nnv {wall_nnv * 1e3:.2f} ms vs nn {wall_nn * 1e3:.2f} ms ({wall_nnv / wall_nn:.1f}x)")
+        details.append(f"{nn.image_name}: nnv {wall_nnv * 1e3:.2f} ms vs nn {wall_nn * 1e3:.2f} ms ({wall_nnv / wall_nn:.1f}x)")
     _report(
         "criterion 8 (median wall time: nnv > nn on the ratio-4 protocol)",
         ordering_ok,

@@ -9,11 +9,9 @@ import pytest
 
 from nnvresize import (
     Image,
-    get_resampler,
     report_markdown,
     rows_to_csv,
     run_benchmark,
-    time_resample,
 )
 from nnvresize.bench import CSV_HEADER, BenchRow
 
@@ -147,33 +145,19 @@ class TestRunBenchmark:
 
     def test_holds_one_output_across_methods(self, rng):
         # each method's output is let go before the next method makes its
-        # own, so a second method adds no 1 MiB output to the peak
+        # own, so running nn first adds no 1 MiB output to bilinear's peak
         img = random_image(rng, 1024, 1024)
-        one, two = (traced_peak(run_benchmark, [("a", img)], [4], methods, 1)[0] for methods in (("nn",), ("nn", "nn")))
+        one, two = (
+            traced_peak(run_benchmark, [("a", img)], [4], methods, 1)[0]
+            for methods in (("bilinear",), ("nn", "bilinear"))
+        )
         assert two <= one + 64 * 1024, (one, two)
-
-
-class TestTimeResample:
-    def test_returns_resampled_image_and_median(self, rng):
-        img = random_image(rng, 8, 8)
-        out, wall = time_resample(get_resampler("nn"), img, 2, repeats=5)
-        assert (out.width, out.height) == (16, 16)
-        assert wall >= 0.0
 
     def test_holds_one_output_across_repeats(self, rng):
         # each call's output is let go before the next call builds its own
-        img = random_image(rng, 256, 256)
-        once, many = (traced_peak(time_resample, get_resampler("nn"), img, 4, r)[0] for r in (1, 5))
+        img = random_image(rng, 1024, 1024)
+        once, many = (traced_peak(run_benchmark, [("a", img)], [4], ("nn",), r)[0] for r in (1, 5))
         assert abs(many - once) <= 0.1 * once, (once, many)
-
-    def test_rejects_zero_repeats(self, rng):
-        # zero, a float and a bool alike, before the first call
-        def resampler(img, ratio):
-            pytest.fail("the resampler ran before repeats was checked")
-
-        for repeats in (0, 2.5, True):
-            with pytest.raises(ValueError, match=rf"^repeats must be an integer >= 1, got {repeats!r}$"):
-                time_resample(resampler, random_image(rng, 4, 4), 2, repeats=repeats)
 
 
 class TestCsv:
@@ -232,6 +216,14 @@ class TestMarkdown:
     def test_environment_note_present(self, originals):
         rows = run_benchmark(originals, ratios=[2], repeats=1)
         assert "Environment:" in report_markdown(rows)
+
+    def test_missing_combination_gets_empty_cells(self, rng):
+        rows = run_benchmark([("a", random_image(rng, 8, 8))], [2, 4], ("nn", "nnv"), repeats=1)
+        kept = [r for r in rows if (r.method, r.ratio) != ("nn", 4)]
+        nnv = kept[-1]
+        assert (nnv.method, nnv.ratio) == ("nnv", 4)
+        table = report_markdown(kept).split("## ratio = 4\n\n")[1].split("\n")
+        assert table[2] == f"| a |  | {nnv.psnr_db:.4f} |  | {nnv.wall_time_s:.6f} |"
 
     def test_carriage_return_in_a_name_becomes_a_space(self, rng):
         rows = run_benchmark([("cr\rname", random_image(rng, 4, 4))], ratios=[2], methods=["nn"], repeats=1)

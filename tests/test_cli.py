@@ -206,18 +206,6 @@ class TestBench:
         out = capsys.readouterr().out
         assert "## ratio = 2" in out and "| a |" in out
 
-    def test_markdown_file_option(self, tmp_path, image_dir):
-        md_path = tmp_path / "bench.md"
-        code = main([
-            "bench", str(image_dir),
-            "--ratios", "2",
-            "--csv", str(tmp_path / "bench.csv"),
-            "--markdown", str(md_path),
-            "--repeats", "1",
-        ])
-        assert code == 0
-        assert "## ratio = 2" in md_path.read_text()
-
     def test_method_subset(self, tmp_path, image_dir):
         csv_path = tmp_path / "bench.csv"
         code = main([
@@ -231,17 +219,16 @@ class TestBench:
         lines = csv_path.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 1 * 2
 
-    def test_names_with_comma_and_non_ascii_read_back(self, tmp_path, rng):
+    def test_names_with_comma_and_non_ascii_read_back(self, tmp_path, rng, capsys):
         d = tmp_path / "imgs"
         d.mkdir()
         for name in ("a,b", "café"):
             write_pgm(d / f"{name}.pgm", random_image(rng, 4, 4))
-        csv_path, md_path = tmp_path / "bench.csv", tmp_path / "bench.md"
+        csv_path = tmp_path / "bench.csv"
         code = main([
             "bench", str(d),
             "--ratios", "2",
             "--csv", str(csv_path),
-            "--markdown", str(md_path),
             "--repeats", "1",
         ])
         assert code == 0
@@ -252,26 +239,25 @@ class TestBench:
         ]
         # a row with more fields than the header keeps the rest under None
         assert all(None not in r for r in rows)
-        assert "| café |" in md_path.read_text(encoding="utf-8")
+        assert "| café |" in capsys.readouterr().out
 
-    def test_names_with_pipe_and_line_breaks_keep_one_row(self, tmp_path, rng):
+    def test_names_with_pipe_and_line_breaks_keep_one_row(self, tmp_path, rng, capsys):
         names = ("x|y", "line\nbreak")
         d = tmp_path / "imgs"
         d.mkdir()
         for name in names:
             write_pgm(d / f"{name}.pgm", random_image(rng, 4, 4))
-        csv_path, md_path = tmp_path / "bench.csv", tmp_path / "bench.md"
+        csv_path = tmp_path / "bench.csv"
         code = main([
             "bench", str(d),
             "--ratios", "2",
             "--csv", str(csv_path),
-            "--markdown", str(md_path),
             "--repeats", "1",
         ])
         assert code == 0
         with open(csv_path, newline="", encoding="utf-8") as fh:
             assert sorted({r["image"] for r in csv.DictReader(fh)}) == sorted(names)
-        table = [line for line in md_path.read_text(encoding="utf-8").split("\n") if line.startswith("|")]
+        table = [line for line in capsys.readouterr().out.split("\n") if line.startswith("|")]
         # header, rule and one row per image, each of 1 + 4 + 4 cells
         assert len(table) == 2 + len(names)
         assert all(len(re.split(r"(?<!\\)\|", line)) == 2 + 9 for line in table)
@@ -299,12 +285,12 @@ class TestBench:
         d.mkdir()
         write_pgm(d / "a.pgm", random_image(rng, 8, 8))
         (d / "b.pgm").write_bytes(b"P5 8 8 255\n" + bytes(10))
-        csv_path, md_path = tmp_path / "bench.csv", tmp_path / "bench.md"
-        argv = ["bench", str(d), "--ratios", "2", "--csv", str(csv_path), "--markdown", str(md_path), "--repeats", "1"]
+        csv_path = tmp_path / "bench.csv"
+        argv = ["bench", str(d), "--ratios", "2", "--csv", str(csv_path), "--repeats", "1"]
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {d / 'b.pgm'}: truncated pixel data: expected 64 bytes, got 10\n")
-        assert not csv_path.exists() and not md_path.exists()
+        assert not csv_path.exists()
 
     def test_non_integer_ratio_in_list_is_usage_error(self, tmp_path, image_dir, capsys):
         with pytest.raises(SystemExit) as excinfo:

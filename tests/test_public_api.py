@@ -21,7 +21,6 @@ PUBLIC_NAMES = [
     "rows_to_csv",
     "run_benchmark",
     "save_pgm",
-    "time_resample",
     "write_pgm",
 ]
 
