@@ -18,7 +18,7 @@ from .image import (
     save_pgm,
     write_pgm,
 )
-from .metrics import MetricsReport, mse, psnr
+from .metrics import MetricsReport, psnr
 from .nnv import resample_nnv
 from .resample import resample_bicubic, resample_bilinear, resample_nn
 
@@ -32,7 +32,6 @@ __all__ = [
     "block_downsample",
     "get_resampler",
     "load_pgm",
-    "mse",
     "psnr",
     "read_pgm",
     "report_markdown",

@@ -21,7 +21,7 @@ _TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]+|" + _COMMENT.pattern + rb")*([^ \t\
 # 72-80, 71 and 69-70 ms at 64, 128, 256, 512 and 1024 KiB, and bicubic
 # was slower at 1024 KiB than at 512. A small image runs as one band.
 _BAND_BYTES = 512 * 1024
-# a reduction's inputs and temporaries per source pixel, rounded up: mse
+# a reduction's inputs and temporaries per source pixel, rounded up: psnr
 # reads two uint8 pixels into a uint8 difference (the larger minus the
 # smaller, one more uint8 temporary) and its uint16 square, 6 bytes, and
 # block_downsample's strided row sums take no more
@@ -132,10 +132,10 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
     # a number is a run of ASCII digits; int() refuses a run longer than
-    # sys.get_int_max_str_digits()
+    # sys.get_int_max_str_digits(), so leading zeros are stripped first
     try:
         if token.isdigit():
-            return int(token), pos
+            return int(token.lstrip(b"0") or b"0"), pos
     except ValueError:
         pass
     raise PgmError(f"malformed header: {what} is not a number: {token!r}")

@@ -30,13 +30,18 @@ def _sum_of_squares(a: np.ndarray, b: np.ndarray) -> int:
     return int(square.sum(axis=1, dtype=row_dtype).sum(dtype=np.uint64))
 
 
-def mse(reference: Image, test: Image) -> float:
-    """Mean squared intensity difference.
+def psnr(reference: Image, test: Image) -> MetricsReport:
+    """MSE, and PSNR in dB relative to the images' shared max_value.
 
     Squared differences are summed exactly, a band of rows at a time,
-    before the one division, so the result does not depend on summation
-    order or band size.
+    before the one division, so the MSE does not depend on summation
+    order or band size. Identical images have zero MSE and an undefined
+    PSNR, reported as psnr_db=None.
     """
+    if reference.max_value != test.max_value:
+        raise ValueError(
+            f"max_value mismatch: {reference.max_value} vs {test.max_value}"
+        )
     if (reference.width, reference.height) != (test.width, test.height):
         raise ValueError(
             f"dimension mismatch: {reference.width}x{reference.height}"
@@ -47,20 +52,7 @@ def mse(reference: Image, test: Image) -> float:
         _sum_of_squares(reference.pixels[y0:y1], test.pixels[y0:y1])
         for y0, y1 in _bands(height, _REDUCE_PIXEL_BYTES * width)
     )
-    return total / (width * height)
-
-
-def psnr(reference: Image, test: Image) -> MetricsReport:
-    """PSNR in dB relative to the images' shared max_value.
-
-    Identical images have zero MSE and an undefined PSNR, reported as
-    psnr_db=None. mse checks that the dimensions match.
-    """
-    if reference.max_value != test.max_value:
-        raise ValueError(
-            f"max_value mismatch: {reference.max_value} vs {test.max_value}"
-        )
-    err = mse(reference, test)
+    err = total / (width * height)
     if err == 0.0:
         return MetricsReport(mse=0.0, psnr_db=None)
     peak = reference.max_value

@@ -187,10 +187,11 @@ def _oracle_token(data: bytes, pos: int):
 def _oracle_header_int(data: bytes, pos: int, what: str):
     token, pos = _oracle_token(data, pos)
     # a number is a run of ASCII digits, and int() refuses one of more than
-    # sys.get_int_max_str_digits() digits
+    # sys.get_int_max_str_digits() digits, leading zeros included, so those
+    # are stripped first
     try:
         if token.isdigit():
-            return int(token), pos
+            return int(token.lstrip(b"0") or b"0"), pos
     except ValueError:
         pass
     raise PgmError(f"malformed header: {what} is not a number: {token!r}")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnvresize import Image, mse, psnr
+from nnvresize import Image, psnr
 
 from conftest import band_bytes, random_image
 
@@ -17,34 +17,30 @@ def _const(value, width=4, height=4, max_value=255):
 class TestMse:
     def test_identical_images(self):
         img = _const(9)
-        assert mse(img, img) == 0.0
+        assert psnr(img, img).mse == 0.0
 
     def test_single_unit_difference(self):
-        assert mse(Image([[255]]), Image([[254]])) == 1.0
+        assert psnr(Image([[255]]), Image([[254]])).mse == 1.0
 
     def test_three_four_five(self):
-        assert mse(Image([[0, 0]]), Image([[3, 4]])) == 12.5
+        assert psnr(Image([[0, 0]]), Image([[3, 4]])).mse == 12.5
 
     def test_symmetry(self, rng):
         a = random_image(rng, 6, 6)
         b = random_image(rng, 6, 6)
-        assert mse(a, b) == mse(b, a)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            mse(_const(0, 2, 2), _const(0, 3, 2))
+        assert psnr(a, b).mse == psnr(b, a).mse
 
     def test_integer_accumulation_is_exact(self):
         # worst case sums stay inside int64
         a = _const(0, 64, 64)
         b = _const(255, 64, 64)
-        assert mse(a, b) == 255.0 * 255.0
+        assert psnr(a, b).mse == 255.0 * 255.0
 
     def test_full_scale_difference_on_a_wide_row(self):
         # 70 000 * 255**2 passes 2**32, so a uint32 row sum would wrap
         zero = Image(np.zeros((1, 70_000), dtype=np.uint8))
         full = Image(np.full((1, 70_000), 255, dtype=np.uint8))
-        assert mse(zero, full) == mse(full, zero) == 65025.0
+        assert psnr(zero, full).mse == psnr(full, zero).mse == 65025.0
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(
@@ -58,7 +54,7 @@ class TestMse:
         a, b = (data.draw(st.binary(min_size=width * height, max_size=width * height)) for _ in range(2))
         want = sum((x - y) ** 2 for x, y in zip(a, b)) / (width * height)
         with band_bytes(budget):
-            got = mse(*(Image(np.frombuffer(v, np.uint8).reshape(height, width)) for v in (a, b)))
+            got = psnr(*(Image(np.frombuffer(v, np.uint8).reshape(height, width)) for v in (a, b))).mse
         assert got == want
 
 
@@ -112,3 +108,7 @@ class TestPsnr:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             psnr(_const(0, 2, 2), _const(0, 2, 3))
+
+    def test_max_value_mismatch_is_checked_before_dimensions(self):
+        with pytest.raises(ValueError, match=r"^max_value mismatch: 255 vs 15$"):
+            psnr(_const(0, 2, 2), _const(0, 3, 2, max_value=15))

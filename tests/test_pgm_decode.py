@@ -235,3 +235,15 @@ def test_header_number_is_a_run_of_digits(header):
     with pytest.raises(PgmError, match=r"^malformed header: (width|height|maxval) is not a number: "):
         load_pgm(header + b" 1 2")
     assert_agrees(header + b" 1 2")
+
+
+@pytest.mark.parametrize("magic, raster", [(b"P5", b"\n\x01\x02"), (b"P2", b" 1 2")], ids=["P5", "P2"])
+def test_zero_padded_header_numbers_decode(magic, raster):
+    # a run of leading zeros longer than sys.get_int_max_str_digits() is
+    # still a number, as it is in a P2 sample
+    zeros = b"0" * 5000
+    data = magic + b" " + zeros + b"2 " + zeros + b"1 " + zeros + b"255" + raster
+    img = load_pgm(data)
+    assert (img.width, img.height, img.max_value) == (2, 1, 255)
+    assert img.pixels.tolist() == [[1, 2]]
+    assert_agrees(data)

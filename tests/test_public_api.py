@@ -10,7 +10,6 @@ PUBLIC_NAMES = [
     "block_downsample",
     "get_resampler",
     "load_pgm",
-    "mse",
     "psnr",
     "read_pgm",
     "report_markdown",

@@ -1,4 +1,4 @@
-"""mse, psnr and block_downsample against whole-image int64 oracles.
+"""psnr and block_downsample against whole-image int64 oracles.
 
 The package walks images in row bands of narrow integers; the oracles in
 refimpl widen the whole image to int64 at once. Block sums of 8-bit
@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnvresize import Image, block_downsample, mse, psnr
+from nnvresize import Image, block_downsample, psnr
 
 from conftest import band_bytes, random_image, traced_peak
 from refimpl import oracle_block_downsample, oracle_mse, oracle_psnr
 
 MAX_VALUES = (1, 15, 255)
 RATIOS = range(1, 17)
-# the default budget, and one row (mse) or one block row (block_downsample)
+# the default budget, and one row (psnr) or one block row (block_downsample)
 # per band
 BUDGETS = (None, 1)
 
@@ -44,7 +44,6 @@ def assert_downsample_exact(img, ratio):
 
 
 def assert_metrics_exact(a, b):
-    assert mse(a, b) == oracle_mse(a, b)
     assert psnr(a, b) == oracle_psnr(a, b)
 
 
@@ -96,7 +95,7 @@ def test_metrics_match_oracle_across_default_bands():
     assert_metrics_exact(a, b)
     zero = Image(np.zeros((300, 512), dtype=np.uint8))
     full = Image(np.full((300, 512), 255, dtype=np.uint8))
-    assert mse(zero, full) == oracle_mse(zero, full) == 255.0 * 255.0
+    assert psnr(zero, full).mse == oracle_mse(zero, full) == 255.0 * 255.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,13 +115,12 @@ def test_reductions_match_oracles_property(ratio, blocks, max_value, seed, band)
         assert_metrics_exact(a, b)
 
 
-@pytest.mark.parametrize("fn", (mse, psnr), ids=lambda f: f.__name__)
-def test_metrics_peak_memory_flat_in_height(fn):
+def test_metrics_peak_memory_flat_in_height():
     # a band's uint8 difference and uint16 square are the same size for a
     # 256-row and a 2048-row image
     rng = np.random.default_rng(2048)
     short, tall = (
-        traced_peak(fn, random_image(rng, 256, height), random_image(rng, 256, height))[0]
+        traced_peak(psnr, random_image(rng, 256, height), random_image(rng, 256, height))[0]
         for height in (256, 2048)
     )
     assert tall - short <= 16 * 1024, f"{tall - short} bytes more for an 8x taller image"

@@ -16,7 +16,7 @@ from nnvresize.resample import _bilinear_weights, _cubic_weights, _half_up_dtype
 from conftest import random_image, traced_peak
 from refimpl import exact_resample, pixel
 
-ALL_METHODS = (resample_nn, resample_bilinear, resample_bicubic)
+ALL_METHODS = (resample_nn, resample_bilinear, resample_bicubic, resample_nnv)
 
 # bilinear on a ramp of slope 12 reads back the source position x / ratio
 RAMP = Image([[0, 12, 24, 36]])
