@@ -131,14 +131,11 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
-    # a number is a run of ASCII digits; int() refuses a run longer than
-    # sys.get_int_max_str_digits(), so leading zeros are stripped first
-    try:
-        if token.isdigit():
-            return int(token.lstrip(b"0") or b"0"), pos
-    except ValueError:
-        pass
-    raise PgmError(f"malformed header: {what} is not a number: {token!r}")
+    if not token.isdigit():
+        raise PgmError(f"malformed header: {what} is not a number: {token!r}")
+    # a number is a run of ASCII digits, read as a P2 sample is: a run
+    # beyond int64, which 20 significant digits are, reads as its maximum
+    return min(int(token.lstrip(b"0")[:20] or b"0"), 2**63 - 1), pos
 
 
 def _p2_samples(body: bytes, count: int) -> np.ndarray:
@@ -152,8 +149,7 @@ def _p2_samples(body: bytes, count: int) -> np.ndarray:
         body = _COMMENT.sub(b" ", body)
     other = body.translate(None, _DIGITS + _WHITESPACE)
     # the samples end where the token holding the first other byte starts
-    end = len(body[: body.find(other[:1])].rstrip(_DIGITS)) if other else len(body)
-    head = body[:end]
+    head = body[: body.find(other[:1])].rstrip(_DIGITS) if other else body
     # one C-level pass; np.fromstring reads a blank string as [0] and must
     # never get count=, which over-reads
     if head and not head.isspace():
@@ -161,7 +157,7 @@ def _p2_samples(body: bytes, count: int) -> np.ndarray:
     else:
         samples = np.empty(0, dtype=np.int64)
     if len(samples) < count and other:
-        raise PgmError(f"malformed sample: {_next_token(body, end)[0]!r}")
+        raise PgmError(f"malformed sample: {_next_token(body, len(head))[0]!r}")
     return samples[:count]
 
 
@@ -170,7 +166,7 @@ def load_pgm(data: bytes) -> Image:
 
     Comments ('#' to the end of the line) may stand anywhere in the header
     and, in P2, between samples. Color formats (P6/P3) and maxval > 255
-    are rejected.
+    are rejected. Malformed input raises PgmError.
     """
     data = bytes(data)
     try:

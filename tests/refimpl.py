@@ -186,15 +186,13 @@ def _oracle_token(data: bytes, pos: int):
 
 def _oracle_header_int(data: bytes, pos: int, what: str):
     token, pos = _oracle_token(data, pos)
-    # a number is a run of ASCII digits, and int() refuses one of more than
-    # sys.get_int_max_str_digits() digits, leading zeros included, so those
-    # are stripped first
-    try:
-        if token.isdigit():
-            return int(token.lstrip(b"0") or b"0"), pos
-    except ValueError:
-        pass
-    raise PgmError(f"malformed header: {what} is not a number: {token!r}")
+    if not token.isdigit():
+        raise PgmError(f"malformed header: {what} is not a number: {token!r}")
+    # a number is a run of ASCII digits; one of more than 19 significant
+    # digits is past int64 and reads as the int64 maximum, as a P2 sample
+    # does, so int() never sees a long run
+    significant = token.lstrip(b"0") or b"0"
+    return (min(int(significant), 2**63 - 1) if len(significant) <= 19 else 2**63 - 1), pos
 
 
 def oracle_load_pgm(data: bytes) -> Image:

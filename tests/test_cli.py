@@ -117,14 +117,18 @@ class TestScale:
         assert not out_path.exists()
 
     def test_overflowing_p2_sample_fails_cleanly(self, tmp_path, capsys):
-        bad = tmp_path / "big.pgm"
-        bad.write_bytes(b"P2 1 1 255 99999999999999999999")
-        code = main(["scale", str(bad), str(tmp_path / "out.pgm")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
-        assert not (tmp_path / "out.pgm").exists()
+        # a number past int64, in a P2 raster or in the header (here a P5
+        # file with 4000-digit sides), is a PgmError that names the file
+        side = b"1" * 4000
+        for data in (b"P2 1 1 255 99999999999999999999", b"P5 " + side + b" " + side + b" 255\n\x01"):
+            bad = tmp_path / "big.pgm"
+            bad.write_bytes(data)
+            code = main(["scale", str(bad), str(tmp_path / "out.pgm")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: "), err[:200]
+            assert "Traceback" not in err
+            assert not (tmp_path / "out.pgm").exists()
 
 
 class TestMetrics:

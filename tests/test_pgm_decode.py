@@ -107,7 +107,7 @@ def mutated_pgm(draw):
             # grow the first header number at or after pos
             digits = [i for i in range(pos, min(len(data), 20)) if 48 <= data[i] <= 57]
             if digits:
-                data[digits[0] : digits[0]] = draw(st.sampled_from([b"9", b"99999", b"1" * 25]))
+                data[digits[0] : digits[0]] = draw(st.sampled_from([b"9", b"99999", b"1" * 25, b"1" * 5000]))
     return bytes(data)
 
 
@@ -191,8 +191,8 @@ def test_count_beyond_sys_maxsize(body):
 
 @pytest.mark.parametrize("sample", [b"99999999999999999999", b"1" * 5000], ids=["20-digit", "5000-digit"])
 def test_sample_beyond_int64_is_out_of_range(sample):
-    # np.fromstring saturates at the int64 maximum; int() refuses to convert
-    # the 5000-digit run, which is still a number out of range
+    # a run beyond int64 reads as the int64 maximum, however long it is,
+    # and so is a number out of range
     for data in (b"P2 1 1 255 " + sample, b"P2 2 1 255 " + sample + b" 1"):
         with pytest.raises(PgmError, match=r"^sample value outside \[0, 255\]$"):
             load_pgm(data)
@@ -228,8 +228,8 @@ def test_non_integer_token_is_malformed(token):
 
 @pytest.mark.parametrize(
     "header",
-    [b"P2 +2 1 255", b"P2 2 -1 255", b"P2 2 1 +255", b"P5 " + b"1" * 5000 + b" 1 255"],
-    ids=["plus-width", "minus-height", "plus-maxval", "5000-digit-width"],
+    [b"P2 +2 1 255", b"P2 2 -1 255", b"P2 2 1 +255"],
+    ids=["plus-width", "minus-height", "plus-maxval"],
 )
 def test_header_number_is_a_run_of_digits(header):
     with pytest.raises(PgmError, match=r"^malformed header: (width|height|maxval) is not a number: "):
@@ -239,11 +239,40 @@ def test_header_number_is_a_run_of_digits(header):
 
 @pytest.mark.parametrize("magic, raster", [(b"P5", b"\n\x01\x02"), (b"P2", b" 1 2")], ids=["P5", "P2"])
 def test_zero_padded_header_numbers_decode(magic, raster):
-    # a run of leading zeros longer than sys.get_int_max_str_digits() is
-    # still a number, as it is in a P2 sample
+    # leading zeros are free: 5000 of them leave a small number, in the
+    # header as in a P2 sample
     zeros = b"0" * 5000
     data = magic + b" " + zeros + b"2 " + zeros + b"1 " + zeros + b"255" + raster
     img = load_pgm(data)
     assert (img.width, img.height, img.max_value) == (2, 1, 255)
     assert img.pixels.tolist() == [[1, 2]]
+    assert_agrees(data)
+
+
+# 4000 ones read as the int64 maximum, and width * height as its square
+_SIDE = b"1" * 4000
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P5 " + b"1" * 5000 + b" 1 255 1 2", "truncated pixel data: expected 9223372036854775807 bytes, got 3"),
+        (
+            b"P5 " + _SIDE + b" " + _SIDE + b" 255\n\x01\x02",
+            "truncated pixel data: expected 85070591730234615847396907784232501249 bytes, got 2",
+        ),
+        (
+            b"P2 " + _SIDE + b" " + _SIDE + b" 255 1 2",
+            "truncated pixel data: expected 85070591730234615847396907784232501249 samples, got 2",
+        ),
+        (b"P5 1 1 " + b"1" * 5000 + b"\n\x01", "maxval out of range (want 1..255): 9223372036854775807"),
+    ],
+    ids=["5000-digit-width", "4000-digit-sides-P5", "4000-digit-sides-P2", "5000-digit-maxval"],
+)
+def test_header_number_beyond_int64_reads_as_its_maximum(data, message):
+    # a header number is read as a P2 sample is; a run beyond int64, however
+    # long, reads as the int64 maximum and fails as a number out of range
+    with pytest.raises(PgmError) as info:
+        load_pgm(data)
+    assert str(info.value) == message
     assert_agrees(data)
