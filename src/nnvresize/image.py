@@ -249,11 +249,11 @@ def _bands(rows: int, row_bytes: int):
 
 def _int_dtype(bound: int):
     """Narrowest signed integer type holding every integer of magnitude
-    <= bound; Python integers (object arrays) past int64."""
+    <= bound; OverflowError past int64."""
     for dtype in (np.int16, np.int32, np.int64):
         if bound <= np.iinfo(dtype).max:
             return dtype
-    return object
+    raise OverflowError(f"no integer type holds {bound}")
 
 
 def _block_sums_half_up(band: np.ndarray, ratio: int, dtype) -> np.ndarray:

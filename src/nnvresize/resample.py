@@ -19,11 +19,13 @@ height, into rows whose column phases are interleaved as in the output,
 the one strided write; their vertical pass then writes each row phase as
 finished uint8 output rows. One type rule, _half_up_dtype, sizes every
 first pass, NNV's own bilinear guide included, which steps down the rows
-first, as its cells live at source resolution. Every value is exact at
-every ratio. Each method's temporaries are the size of a band, and a
-band is at least one source row, so once one row's output (w*r*r bytes)
-passes _BAND_BYTES, the temporaries grow with the width: bicubic holds
-49 MiB over a 16 MiB output on a 1x262144 source at ratio 8.
+first, as its cells live at source resolution. Where that rule's bound
+passes int64, from ratio 378 at 8 bits, bicubic splits its second pass
+to stay in int64; it refuses ratios above 1107. Every value is exact.
+Each method's temporaries are the size of a band, and a band is at
+least one source row, so once one row's output (w*r*r bytes) passes
+_BAND_BYTES, the temporaries grow with the width: bicubic holds 49 MiB
+over a 16 MiB output on a 1x262144 source at ratio 8.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from .image import Image, _bands, _check_count, _int_dtype
 
 # the largest output, in pixels, a resampler will allocate
 _MAX_OUTPUT_PIXELS = 2**31
+
+# the largest bicubic ratio: reach * d, a bound of _bicubic's split, fits int64
+_MAX_BICUBIC_RATIO = 1107
 
 # kernel(band, ratio, max_value, out) writes one band's output: band holds
 # the padded source rows [y0, y1 + before + after), and out is the
@@ -112,20 +117,20 @@ def _half_up_dtype(weights: np.ndarray, max_value: int):
     (ratio, taps) integer weights, each row of which sums to d: the first
     pass keeps 2P + d, P weighing pixels with one row, and the second
     weighs that with one row into 2N + d*d. It holds reach * (2 * reach *
-    max_value + d), reach being the largest sum of a row's |weights|."""
+    max_value + d), reach being the largest sum of a row's |weights|;
+    past int64, where only bicubic goes, _int_dtype raises."""
     d = int(weights[0].sum())
     reach = int(np.abs(weights).sum(axis=1).max())
     return _int_dtype(reach * (2 * reach * max_value + d))
 
 
-def _horizontal_half_up(band: np.ndarray, weights: np.ndarray, max_value: int) -> np.ndarray:
-    """(rows, width * ratio) 2H + d at every column phase i over every
-    padded row, H weighing the band's columns with ``weights[i]``, the
-    phases interleaved: column x * ratio + i holds phase i at source
+def _horizontal_half_up(band: np.ndarray, weights: np.ndarray, dtype) -> np.ndarray:
+    """(rows, width * ratio) 2H + d as ``dtype`` at every column phase i
+    over every padded row, H weighing the band's columns with weights[i],
+    the phases interleaved: column x * ratio + i holds phase i at source
     column x, so a row of it is a row of output columns."""
     ratio, taps = weights.shape
     d = int(weights[0].sum())
-    dtype = _half_up_dtype(weights, max_value)
     rows, w = band.shape[0], band.shape[1] - taps + 1
     src = band.astype(dtype)
     cols = [src[:, t : t + w] for t in range(taps)]
@@ -142,17 +147,31 @@ def _bicubic(band: np.ndarray, ratio: int, max_value: int, out: np.ndarray) -> N
 
     At offset i/ratio, ``_cubic_weights(ratio)[i, t]`` weighs the source
     pixel ``base + t - 1`` over d = 2 * ratio**3 per axis. Row phase j
-    weighs four row views of the horizontal pass's 2H + d into 2N + d*d,
-    N being the numerator over d*d, quantized exactly as
-    floor(N/(d*d) + 1/2) and clamped to [0, max_value].
+    weighs four row views of the horizontal pass's mid = 2H + d into
+    2N + d*d, N being the numerator over d*d, quantized exactly as
+    floor(N/(d*d) + 1/2) and clamped to [0, max_value]. Where 2N + d*d
+    may pass int64, it is d*A + B, A and B weighing q and m of mid =
+    d*q + m, 0 <= m < d: |B| < reach * d, and the quotient is
+    (A + B // d) // (2*d), as floor(x/n) = floor(floor(x)/n).
     """
     weights = _cubic_weights(ratio)
     d = 2 * ratio**3
-    mid = _horizontal_half_up(band, weights, max_value)
+    reach = int(np.abs(weights).sum(axis=1).max())
+    plain = reach * (2 * reach * max_value + d) <= np.iinfo(np.int64).max
+    mid = _horizontal_half_up(band, weights, _half_up_dtype(weights, max_value) if plain else np.int64)
     n = out.shape[0]
-    rows = [mid[t : t + n] for t in range(4)]
-    for j, num in enumerate(_phase_sums(weights.astype(mid.dtype), rows)):
-        num //= 2 * d * d
+    weights = weights.astype(mid.dtype)
+
+    def sums(first):
+        return _phase_sums(weights, [first[t : t + n] for t in range(4)])
+
+    if plain:
+        nums, scale = sums(mid), 2 * d * d
+    else:
+        q, m = np.divmod(mid, d)
+        nums, scale = (a + b // d for a, b in zip(sums(q), sums(m))), 2 * d
+    for j, num in enumerate(nums):
+        num //= scale
         np.clip(num, 0, max_value, out=out[:, j], casting="unsafe")
 
 
@@ -162,7 +181,8 @@ def _bilinear(band: np.ndarray, ratio: int, max_value: int, out: np.ndarray) -> 
     (ratio - i, i), 2N + ratio**2 at row phase j is ratio * mid[y] +
     j * (mid[y + 1] - mid[y]); N / ratio**2, a weighted mean, needs no
     clamp."""
-    mid = _horizontal_half_up(band, _bilinear_weights(ratio), max_value)
+    weights = _bilinear_weights(ratio)
+    mid = _horizontal_half_up(band, weights, _half_up_dtype(weights, max_value))
     half_up, step = ratio * mid[:-1], mid[1:] - mid[:-1]
     for j in range(ratio):
         np.floor_divide(half_up, 2 * ratio * ratio, out=out[:, j], casting="unsafe")
@@ -193,4 +213,7 @@ def resample_bilinear(img: Image, ratio: int) -> Image:
 
 def resample_bicubic(img: Image, ratio: int) -> Image:
     """Upscale with separable 4x4 cubic convolution, edge taps clamped."""
+    ratio = _check_count(ratio, "ratio")
+    if ratio > _MAX_BICUBIC_RATIO:
+        raise ValueError(f"bicubic ratio must be at most {_MAX_BICUBIC_RATIO}, got {ratio}")
     return _banded(img, ratio, 1, 2, _bicubic)

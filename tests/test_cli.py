@@ -116,6 +116,13 @@ class TestScale:
         assert capsys.readouterr().err == "error: output 16x16 (8x8 at ratio 2) exceeds the limit of 255 pixels\n"
         assert not out_path.exists()
 
+    def test_bicubic_above_its_ceiling_fails_cleanly(self, tmp_path, source_pgm, capsys):
+        out_path = tmp_path / "out.pgm"
+        code = main(["scale", str(source_pgm), str(out_path), "--method", "bicubic", "--ratio", "1108"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: bicubic ratio must be at most 1107, got 1108\n"
+        assert not out_path.exists()
+
     def test_overflowing_p2_sample_fails_cleanly(self, tmp_path, capsys):
         # a number past int64, in a P2 raster or in the header (here a P5
         # file with 4000-digit sides), is a PgmError that names the file

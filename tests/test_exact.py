@@ -71,24 +71,27 @@ def test_half_way_bilinear_rounds_up_at_ratio_6():
     assert pixel(get_resampler("bilinear")(img, 6), 4, 3) == 2
 
 
-def check_bicubic_at_ratio_400(img):
-    out = get_resampler("bicubic")(img, 400).pixels
-    rng = np.random.default_rng(400)
+def check_bicubic_past_int64(img):
+    # from ratio 378 the bicubic numerators over 4 * ratio**6 overflow
+    # int64, and the second pass splits them; 1107 is the largest ratio
+    # bicubic runs at
     rows = img.pixels.tolist()
-    for y, x in zip(rng.integers(0, 400 * img.height, 200), rng.integers(0, 400 * img.width, 200)):
-        assert out[y, x] == exact_pixel("bicubic", rows, 255, 400, int(x), int(y)), (x, y)
+    for ratio in (378, 400, 1000, 1107):
+        out = get_resampler("bicubic")(img, ratio).pixels
+        rng = np.random.default_rng(ratio)
+        for y, x in zip(rng.integers(0, ratio * img.height, 200), rng.integers(0, ratio * img.width, 200)):
+            assert out[y, x] == exact_pixel("bicubic", rows, 255, ratio, int(x), int(y)), (ratio, x, y)
 
 
 def test_bicubic_exact_past_int64_range():
-    # at ratio 400 the bicubic numerators over 4 * 400**6 overflow int64
-    check_bicubic_at_ratio_400(Image([[0, 255, 255, 0]]))
+    check_bicubic_past_int64(Image([[0, 255, 255, 0]]))
 
 
 def test_bicubic_past_int64_range_across_band_seams():
-    # Python-int numerators, one source row per band: every band reads
+    # the split second pass, one source row per band: every band reads
     # the halo rows above and below it
     with band_bytes(1):
-        check_bicubic_at_ratio_400(Image([[0, 255], [255, 0], [0, 255]]))
+        check_bicubic_past_int64(Image([[0, 255], [255, 0], [0, 255]]))
 
 
 def check_random_image(data, method, ratio, max_value):

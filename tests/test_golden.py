@@ -54,6 +54,8 @@ CASES = {
     "strip_1x33": (_photo(1, 33, 4), range(1, 13)),
     # 1, 2, 3 and 6 bands at ratios 2, 3, 4 and 6
     "photo_300x260": (_photo(300, 260, 5), (2, 3, 4, 6)),
+    # bicubic's split second pass, up to its largest ratio
+    "tiny_3x2": (_photo(3, 2, 6), (378, 1000, 1107)),
 }
 
 

@@ -63,8 +63,8 @@ def test_subsampled_upscale_is_the_smaller_upscale(method, data, img, ratio):
 
 
 # large ratios on the smallest source: 1108 for nn, bilinear and nnv, and
-# for bicubic 378, the first ratio of its Python-int object arrays, as it
-# takes seconds at 1108
+# for bicubic 378, the first ratio of its split second pass, and 1107, the
+# largest it runs at
 @pytest.mark.parametrize(
     "method, ratio, factors",
     [
@@ -72,6 +72,7 @@ def test_subsampled_upscale_is_the_smaller_upscale(method, data, img, ratio):
         ("bilinear", 1108, (2, 4, 277)),
         ("nnv", 1108, (2, 4, 277)),
         ("bicubic", 378, (2, 3, 7, 9, 14, 27)),
+        ("bicubic", 1107, (3, 9, 27, 41)),
     ],
 )
 def test_subsampling_holds_at_large_ratios(rng, method, ratio, factors):

@@ -11,7 +11,8 @@ import pytest
 
 from nnvresize import Image, nnv, resample, resample_bicubic, resample_bilinear, resample_nn, resample_nnv
 from nnvresize.nnv import _bilinear_half_up
-from nnvresize.resample import _bilinear_weights, _cubic_weights, _half_up_dtype, _horizontal_half_up
+from nnvresize.image import _int_dtype
+from nnvresize.resample import _bilinear_weights, _cubic_weights, _half_up_dtype
 
 from conftest import random_image, traced_peak
 from refimpl import exact_resample, pixel
@@ -161,25 +162,91 @@ class TestCubicKernel:
             assert _cubic_weights(r).sum(axis=1).tolist() == [2 * r**3] * r
 
 
+class FirstPass(Exception):
+    """Raised with the type a resampler asks its horizontal pass for."""
+
+
+def first_pass_dtype(method, ratio):
+    """The type of ``method``'s horizontal pass at ``ratio`` on an 8-bit
+    1x1 source, stopped as soon as it is asked for."""
+
+    def stop(band, weights, dtype):
+        raise FirstPass(np.dtype(dtype))
+
+    with mock.patch.object(resample, "_horizontal_half_up", stop), pytest.raises(FirstPass) as caught:
+        method(Image([[255]]), ratio)
+    return caught.value.args[0]
+
+
 def test_vertical_pass_picks_the_narrowest_type():
     # one bound, reach * (2 * reach * max_value + d), for bilinear's
     # weights (r - j, j) and the cubic ones alike, at 8 bits, whether the
     # first pass weighs columns or, in NNV's bilinear guide, rows
     band = np.full((4, 4), 255, np.uint8)
-
-    def dtype(weights):
-        horizontal = _horizontal_half_up(band, weights, 255).dtype
-        assert horizontal == _half_up_dtype(weights, 255)
-        return horizontal
-
-    assert [dtype(_bilinear_weights(r)) for r in (8, 9)] == [np.int16, np.int32]
+    assert [first_pass_dtype(resample_bilinear, r) for r in (8, 9)] == [np.int16, np.int32]
     guide = [{a.dtype for a in _bilinear_half_up(band, r, 255)} for r in (8, 9)]
     assert guide == [{np.dtype(np.int16)}, {np.dtype(np.int32)}]
-    cubic = {r: dtype(_cubic_weights(r)) for r in range(1, 379)}
+    cubic = {r: first_pass_dtype(resample_bicubic, r) for r in range(1, 1108)}
+    assert all(cubic[r] == _half_up_dtype(_cubic_weights(r), 255) for r in range(1, 378))
     assert cubic[1] == np.int16
     assert {cubic[r] for r in range(2, 10)} == {np.dtype(np.int32)}
-    assert {cubic[r] for r in range(10, 378)} == {np.dtype(np.int64)}
-    assert cubic[378] == object
+    # from ratio 378 the bound passes int64: bicubic's first pass stays
+    # in int64 and its second pass splits
+    assert {cubic[r] for r in range(10, 1108)} == {np.dtype(np.int64)}
+    with pytest.raises(OverflowError):
+        _half_up_dtype(_cubic_weights(378), 255)
+    assert _int_dtype(2**63 - 1) == np.int64
+    with pytest.raises(OverflowError, match=f"no integer type holds {2**63}"):
+        _int_dtype(2**63)
+
+
+def test_bicubic_splits_only_where_the_bound_passes_int64():
+    # the bound reaches int64 at ratio 378 for 8 bits, later for fewer
+    with mock.patch.object(np, "divmod", wraps=np.divmod) as divmod:
+        resample_bicubic(Image([[255]]), 377)
+        resample_bicubic(Image([[1]], 1), 378)
+        assert divmod.call_count == 0
+        resample_bicubic(Image([[255]]), 378)
+        assert divmod.call_count == 1
+
+
+def test_bicubic_ceiling_is_where_the_split_leaves_int64():
+    # the split's remainder sums B reach up to reach * d in magnitude
+    def reach_d(r):
+        return int(np.abs(_cubic_weights(r)).sum(axis=1).max()) * 2 * r**3
+
+    top = resample._MAX_BICUBIC_RATIO
+    assert top == 1107
+    assert reach_d(top) <= np.iinfo(np.int64).max < reach_d(top + 1)
+
+
+class TestBicubicCeiling:
+    """A bicubic ratio above 1107 is refused after the ratio's own check
+    and before anything is allocated."""
+
+    @pytest.mark.parametrize("size", [1, 41])
+    def test_refused_before_allocating(self, size):
+        # 41x41 is the largest source the output limit admits at 1108
+        assert (size * 1108) ** 2 <= resample._MAX_OUTPUT_PIXELS
+        img = Image(np.full((size, size), 255, np.uint8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^bicubic ratio must be at most 1107, got 1108$"):
+                resample_bicubic(img, 1108)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_the_ceiling_itself_runs(self):
+        out = resample_bicubic(Image([[7]]), 1107)
+        assert out.pixels.shape == (1107, 1107) and np.all(out.pixels == 7)
+
+    def test_bilinear_type_fits_every_admitted_ratio(self):
+        # the output limit admits at most ratio 46340, on a 1x1 source, so
+        # the type rule of bilinear and NNV's guide never passes int64
+        assert 46340**2 <= resample._MAX_OUTPUT_PIXELS < 46341**2
+        assert _half_up_dtype(_bilinear_weights(46340), 255) == np.int64
 
 
 class TestBicubicResample:
@@ -229,8 +296,9 @@ class TestSharedProperties:
 
     @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda f: f.__name__)
     def test_bad_ratio_rejected(self, method):
-        for bad in (0, True):
-            with pytest.raises(ValueError):
+        # 1108.0 is refused as a ratio before bicubic's ceiling is checked
+        for bad in (0, True, 1108.0):
+            with pytest.raises(ValueError, match="ratio must be an integer >= 1"):
                 method(Image([[1]]), bad)
         # a numpy integer is a valid ratio
         img = Image([[10, 20], [30, 40]])
