@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import io
 import platform
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -96,7 +95,9 @@ def run_benchmark(
                     upscaled = fn(small, ratio)
                     times.append(time.perf_counter() - start)
                 report = psnr(img, upscaled)
-                rows.append(BenchRow(name, method, ratio, report.psnr_db, report.mse, statistics.median(times)))
+                t = sorted(times)
+                median = (t[(repeats - 1) // 2] + t[repeats // 2]) / 2
+                rows.append(BenchRow(name, method, ratio, report.psnr_db, report.mse, median))
         # free this original's arrays before the next one is drawn and decoded
         del img, small, upscaled
     if not rows:

@@ -158,6 +158,8 @@ def _p2_samples(body: bytes, count: int) -> np.ndarray:
         samples = np.empty(0, dtype=np.int64)
     if len(samples) < count and other:
         raise PgmError(f"malformed sample: {_next_token(body, len(head))[0]!r}")
+    if len(samples) < count:
+        raise PgmError(f"truncated pixel data: expected {count} samples, got {len(samples)}")
     return samples[:count]
 
 
@@ -197,10 +199,7 @@ def load_pgm(data: bytes) -> Image:
         # a view of the raster in data, not a copy of it
         arr = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos + 1).reshape(height, width)
     else:
-        samples = _p2_samples(data[pos:], count)
-        if len(samples) < count:
-            raise PgmError(f"truncated pixel data: expected {count} samples, got {len(samples)}")
-        arr = samples.reshape(height, width)
+        arr = _p2_samples(data[pos:], count).reshape(height, width)
 
     # the header checks leave only the sample range to refuse
     try:

@@ -20,14 +20,13 @@ class MetricsReport:
 
 def _sum_of_squares(a: np.ndarray, b: np.ndarray) -> int:
     """Exact sum of (a - b)**2 over two 2-D uint8 arrays: |a - b| as
-    uint8, max - min, its square as uint16, each row's sum in uint32 (in
-    uint64 once a row of 255**2 could reach 2**32), the rows' in uint64."""
+    uint8, max - min, its square as uint16, summed in one step, in uint32
+    while size * 255**2 stays below 2**32 (any default band) or uint64."""
     diff = np.maximum(a, b)
     diff -= np.minimum(a, b)
     square = diff.astype(np.uint16)
     square *= square
-    row_dtype = np.uint32 if a.shape[1] * 255**2 < 2**32 else np.uint64
-    return int(square.sum(axis=1, dtype=row_dtype).sum(dtype=np.uint64))
+    return int(square.sum(dtype=np.uint32 if a.size * 255**2 < 2**32 else np.uint64))
 
 
 def psnr(reference: Image, test: Image) -> MetricsReport:

@@ -118,10 +118,11 @@ def _half_up_dtype(weights: np.ndarray, max_value: int):
     pass keeps 2P + d, P weighing pixels with one row, and the second
     weighs that with one row into 2N + d*d. It holds reach * (2 * reach *
     max_value + d), reach being the largest sum of a row's |weights|;
-    past int64, where only bicubic goes, _int_dtype raises."""
+    None past int64, where only bicubic goes."""
     d = int(weights[0].sum())
     reach = int(np.abs(weights).sum(axis=1).max())
-    return _int_dtype(reach * (2 * reach * max_value + d))
+    bound = reach * (2 * reach * max_value + d)
+    return _int_dtype(bound) if bound <= np.iinfo(np.int64).max else None
 
 
 def _horizontal_half_up(band: np.ndarray, weights: np.ndarray, dtype) -> np.ndarray:
@@ -156,16 +157,15 @@ def _bicubic(band: np.ndarray, ratio: int, max_value: int, out: np.ndarray) -> N
     """
     weights = _cubic_weights(ratio)
     d = 2 * ratio**3
-    reach = int(np.abs(weights).sum(axis=1).max())
-    plain = reach * (2 * reach * max_value + d) <= np.iinfo(np.int64).max
-    mid = _horizontal_half_up(band, weights, _half_up_dtype(weights, max_value) if plain else np.int64)
+    dtype = _half_up_dtype(weights, max_value)
+    mid = _horizontal_half_up(band, weights, dtype or np.int64)
     n = out.shape[0]
     weights = weights.astype(mid.dtype)
 
     def sums(first):
         return _phase_sums(weights, [first[t : t + n] for t in range(4)])
 
-    if plain:
+    if dtype is not None:
         nums, scale = sums(mid), 2 * d * d
     else:
         q, m = np.divmod(mid, d)

@@ -45,7 +45,7 @@ def traced_peak(fn, *args):
 
 @contextmanager
 def band_bytes(budget):
-    """Run every banded loop (the resamplers, mse, block_downsample) with
+    """Run every banded loop (the resamplers, psnr, block_downsample) with
     a band budget of ``budget`` bytes; 1 makes every band one row."""
     with mock.patch.object(image, "_BAND_BYTES", budget):
         yield

@@ -3,6 +3,7 @@
 import csv
 import io
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nnvresize import (
     rows_to_csv,
     run_benchmark,
 )
+from nnvresize import bench
 from nnvresize.bench import CSV_HEADER, BenchRow
 
 from conftest import random_image, traced_peak
@@ -125,6 +127,14 @@ class TestRunBenchmark:
     def test_timing_is_nonnegative(self, originals):
         rows = run_benchmark(originals, ratios=[2], repeats=3)
         assert all(r.wall_time_s >= 0.0 for r in rows)
+
+    @pytest.mark.parametrize("durations, median", [([5.0, 1.0, 4.0, 2.0], 3.0), ([3.0, 1.0, 2.0], 2.0)])
+    def test_reports_the_median_duration(self, durations, median):
+        # each call is timed from one perf_counter reading to the next
+        readings = iter([t for k, d in enumerate(durations) for t in (10.0 * k, 10.0 * k + d)])
+        with mock.patch.object(bench.time, "perf_counter", side_effect=lambda: next(readings)):
+            (row,) = run_benchmark([("a", Image([[1, 2], [3, 4]]))], [2], ("nn",), len(durations))
+        assert row.wall_time_s == median
 
     def test_releases_each_original_before_drawing_the_next(self, rng):
         # an original and its downsampled and upscaled copies are 144 KiB

@@ -127,15 +127,33 @@ class TestScale:
         # a number past int64, in a P2 raster or in the header (here a P5
         # file with 4000-digit sides), is a PgmError that names the file
         side = b"1" * 4000
-        for data in (b"P2 1 1 255 99999999999999999999", b"P5 " + side + b" " + side + b" 255\n\x01"):
+        cases = [
+            (b"P2 1 1 255 99999999999999999999", "sample value outside [0, 255]"),
+            (b"P5 " + side + b" " + side + b" 255\n\x01", "truncated pixel data"),
+        ]
+        for data, message in cases:
             bad = tmp_path / "big.pgm"
             bad.write_bytes(data)
             code = main(["scale", str(bad), str(tmp_path / "out.pgm")])
             assert code == 1
             err = capsys.readouterr().err
-            assert err.startswith(f"error: {bad}: "), err[:200]
+            assert err.startswith(f"error: {bad}: {message}"), err[:200]
             assert "Traceback" not in err
             assert not (tmp_path / "out.pgm").exists()
+
+    def test_bicubic_at_ratio_1000_writes_its_output(self, tmp_path):
+        src, out_path = tmp_path / "tiny.pgm", tmp_path / "out.pgm"
+        write_pgm(src, Image([[0, 64], [128, 255]]))
+        assert main(["scale", str(src), str(out_path), "--method", "bicubic", "--ratio", "1000"]) == 0
+        out = read_pgm(out_path)
+        assert (out.width, out.height) == (2000, 2000)
+
+    def test_p2_with_text_after_its_samples(self, tmp_path):
+        src, out_path = tmp_path / "ascii.pgm", tmp_path / "out.pgm"
+        src.write_bytes(b"P2 2 2 255\n0 64 128 255\nend\n")
+        assert main(["scale", str(src), str(out_path), "--method", "nnv", "--ratio", "2"]) == 0
+        out = read_pgm(out_path)
+        assert (out.width, out.height) == (4, 4)
 
 
 class TestMetrics:
@@ -143,7 +161,7 @@ class TestMetrics:
         assert main(["metrics", str(source_pgm), str(source_pgm)]) == 0
         out = capsys.readouterr().out
         assert "MSE: 0.000000" in out
-        assert "undefined" in out
+        assert "PSNR: undefined (images are identical)" in out.splitlines()
 
     def test_unit_offset(self, tmp_path, capsys):
         ref = tmp_path / "ref.pgm"
@@ -159,6 +177,13 @@ class TestMetrics:
         assert main(["metrics", str(source_pgm), str(broken)]) == 1
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {broken}: truncated pixel data: expected 4 bytes, got 1\n")
+
+    def test_max_value_mismatch_fails(self, tmp_path, capsys):
+        ref, low = tmp_path / "ref.pgm", tmp_path / "low.pgm"
+        ref.write_bytes(b"P5 2 2 255\n\x00\x40\x80\xff")
+        low.write_bytes(b"P5 2 2 15\n\x00\x05\x0a\x0f")
+        assert main(["metrics", str(ref), str(low)]) == 1
+        assert capsys.readouterr().err == "error: max_value mismatch: 255 vs 15\n"
 
     def test_dimension_mismatch_fails(self, tmp_path, source_pgm, rng, capsys):
         other = tmp_path / "other.pgm"
@@ -214,8 +239,13 @@ class TestBench:
         lines = csv_path.read_text().strip().split("\n")
         assert lines[0] == "image,method,ratio,psnr_db,mse,wall_time_s"
         assert len(lines) == 1 + 2 * 2 * 4
+        # without --methods, every method of the registry, in its order
+        rows = list(csv.DictReader(lines))
+        groups = [rows[k : k + 4] for k in range(0, len(rows), 4)]
+        assert [[r["method"] for r in g] for g in groups] == [["nn", "bilinear", "bicubic", "nnv"]] * 4
+        assert all(len({(r["image"], r["ratio"]) for r in g}) == 1 for g in groups)
         out = capsys.readouterr().out
-        assert "## ratio = 2" in out and "| a |" in out
+        assert "## ratio = 2" in out.splitlines() and "| a |" in out
 
     def test_method_subset(self, tmp_path, image_dir):
         csv_path = tmp_path / "bench.csv"

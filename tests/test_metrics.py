@@ -42,6 +42,13 @@ class TestMse:
         full = Image(np.full((1, 70_000), 255, dtype=np.uint8))
         assert psnr(zero, full).mse == psnr(full, zero).mse == 65025.0
 
+    def test_full_scale_difference_over_a_large_band(self):
+        # one 90 000-pixel band: 90 000 * 255**2 passes 2**32, so a
+        # uint32 band sum would wrap
+        zero, full = _const(0, 300, 300), _const(255, 300, 300)
+        with band_bytes(2**30):
+            assert psnr(zero, full).mse == 65025.0
+
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(
         width=st.integers(1, 12),
