@@ -128,7 +128,7 @@ def rows_to_csv(rows: Iterable[BenchRow]) -> str:
 
 
 # a "|" would end a markdown table cell and a line break its row
-_MARKDOWN_CELL = str.maketrans({"|": r"\|", "\r": " ", "\n": " "})
+_MARKDOWN_CELL = str.maketrans({"\\": r"\\", "|": r"\|", "\r": " ", "\n": " "})
 
 
 def _markdown_row(cells: Iterable[str]) -> str:

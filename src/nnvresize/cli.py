@@ -99,7 +99,7 @@ def cmd_downsample(args) -> int:
 
 def cmd_bench(args) -> int:
     directory = Path(args.directory)
-    paths = sorted(directory.glob("*.pgm"))
+    paths = sorted(p for p in directory.glob("*.pgm") if p.is_file())
     if not paths:
         raise ValueError(f"no .pgm files found in {directory}")
     originals = ((path.stem, read_pgm(path)) for path in paths)

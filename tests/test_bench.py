@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 import tracemalloc
 from unittest import mock
 
@@ -238,3 +239,11 @@ class TestMarkdown:
     def test_carriage_return_in_a_name_becomes_a_space(self, rng):
         rows = run_benchmark([("cr\rname", random_image(rng, 4, 4))], ratios=[2], methods=["nn"], repeats=1)
         assert "| cr name |" in report_markdown(rows)
+
+    def test_backslash_in_a_name_escapes_nothing(self, rng):
+        # GFM reads a backslash as escaping the character after it, so the
+        # name "x\|y" renders as "x\\\|y": an escaped backslash, then pipe
+        rows = run_benchmark([("x\\|y", random_image(rng, 4, 4))], [2], ["nn"], repeats=1)
+        header, rule, row = report_markdown(rows).splitlines()[-3:]
+        assert [re.sub(r"\\.", "", line).count("|") for line in (rule, row)] == [header.count("|")] * 2
+        assert row.startswith(r"| x\\\|y |")

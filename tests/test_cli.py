@@ -301,7 +301,8 @@ class TestBench:
         table = [line for line in capsys.readouterr().out.split("\n") if line.startswith("|")]
         # header, rule and one row per image, each of 1 + 4 + 4 cells
         assert len(table) == 2 + len(names)
-        assert all(len(re.split(r"(?<!\\)\|", line)) == 2 + 9 for line in table)
+        # GFM's rule: a backslash escapes the character after it
+        assert all(re.sub(r"\\.", "", line).count("|") == 1 + 9 for line in table)
         for cell in (r"| x\|y |", "| line break |"):
             assert any(line.startswith(cell) for line in table[2:]), cell
 
@@ -340,6 +341,16 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.endswith("error: argument --ratios: must be an integer >= 1, got 'x'\n"), err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_directories_named_pgm_are_skipped(self, tmp_path, image_dir, capsys):
+        (image_dir / "sub.pgm").mkdir()
+        csv_path = tmp_path / "bench.csv"
+        assert main(["bench", str(image_dir), "--ratios", "2", "--methods", "nn", "--csv", str(csv_path), "--repeats", "1"]) == 0
+        assert [line.split(",")[0] for line in csv_path.read_text().splitlines()[1:]] == ["a", "b"]
+        only_dir = tmp_path / "only_dir"
+        (only_dir / "sub.pgm").mkdir(parents=True)
+        assert main(["bench", str(only_dir), "--csv", str(tmp_path / "x.csv")]) == 1
+        assert f"no .pgm files found in {only_dir}" in capsys.readouterr().err
 
     def test_empty_directory_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -239,11 +239,6 @@ class TestLoadPgm:
         img = load_pgm(b"P5\n1 1\n255\n\x07\n")
         assert pixel(img, 0, 0) == 7
 
-    def test_overflowing_p2_sample_is_pgm_error(self):
-        # beyond int64 it once escaped as OverflowError, past the CLI's handler
-        with pytest.raises(PgmError, match=r"sample value outside \[0, 255\]"):
-            load_pgm(b"P2 1 1 255 99999999999999999999")
-
     @pytest.mark.parametrize(
         "data",
         [b"P5 2 1 100\n\x64\x65", b"P2 2 1 100 7 99999999999999999999"],

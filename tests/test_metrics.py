@@ -15,26 +15,11 @@ def _const(value, width=4, height=4, max_value=255):
 
 
 class TestMse:
-    def test_identical_images(self):
-        img = _const(9)
-        assert psnr(img, img).mse == 0.0
-
     def test_single_unit_difference(self):
         assert psnr(Image([[255]]), Image([[254]])).mse == 1.0
 
     def test_three_four_five(self):
         assert psnr(Image([[0, 0]]), Image([[3, 4]])).mse == 12.5
-
-    def test_symmetry(self, rng):
-        a = random_image(rng, 6, 6)
-        b = random_image(rng, 6, 6)
-        assert psnr(a, b).mse == psnr(b, a).mse
-
-    def test_integer_accumulation_is_exact(self):
-        # worst case sums stay inside int64
-        a = _const(0, 64, 64)
-        b = _const(255, 64, 64)
-        assert psnr(a, b).mse == 255.0 * 255.0
 
     def test_full_scale_difference_on_a_wide_row(self):
         # 70 000 * 255**2 passes 2**32, so a uint32 row sum would wrap
@@ -71,14 +56,6 @@ class TestPsnr:
         report = psnr(img, img)
         assert report.mse == 0.0
         assert report.psnr_db is None
-
-    def test_full_swing_is_zero_db(self):
-        report = psnr(_const(0), _const(255))
-        assert report.psnr_db == 0.0
-
-    def test_unit_offset(self):
-        report = psnr(Image([[255]]), Image([[254]]))
-        assert report.psnr_db == pytest.approx(48.1308, abs=1e-4)
 
     def test_symmetry(self, rng):
         a = random_image(rng, 5, 5)
