@@ -21,10 +21,9 @@ _TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]+|" + _COMMENT.pattern + rb")*([^ \t\
 # 72-80, 71 and 69-70 ms at 64, 128, 256, 512 and 1024 KiB, and bicubic
 # was slower at 1024 KiB than at 512. A small image runs as one band.
 _BAND_BYTES = 512 * 1024
-# a reduction's inputs and temporaries per source pixel, rounded up: psnr
-# reads two uint8 pixels into a uint8 difference (the larger minus the
-# smaller, one more uint8 temporary) and its uint16 square, 6 bytes, and
-# block_downsample's strided row sums take no more
+# bytes per source pixel that block_downsample's bands are sized by, an
+# upper bound: its strided row sums and block sums each hold at most one
+# int64 per column of a block row, which spans ratio source rows
 _REDUCE_PIXEL_BYTES = 8
 
 

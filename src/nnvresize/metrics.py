@@ -7,7 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import _REDUCE_PIXEL_BYTES, Image, _bands
+from .image import Image
+
+# pixels per psnr run: 66 051 squares of 255 still fit a uint32
+_RUN = (2**32 - 1) // 255**2
 
 
 @dataclass(frozen=True)
@@ -19,23 +22,23 @@ class MetricsReport:
 
 
 def _sum_of_squares(a: np.ndarray, b: np.ndarray) -> int:
-    """Exact sum of (a - b)**2 over two 2-D uint8 arrays: |a - b| as
-    uint8, max - min, its square as uint16, summed in one step, in uint32
-    while size * 255**2 stays below 2**32 (any default band) or uint64."""
+    """Exact sum of (a - b)**2 over two uint8 arrays of at most _RUN
+    values: |a - b| as uint8, max - min, its square as uint16, summed in
+    one step in uint32."""
     diff = np.maximum(a, b)
     diff -= np.minimum(a, b)
     square = diff.astype(np.uint16)
     square *= square
-    return int(square.sum(dtype=np.uint32 if a.size * 255**2 < 2**32 else np.uint64))
+    return int(square.sum(dtype=np.uint32))
 
 
 def psnr(reference: Image, test: Image) -> MetricsReport:
     """MSE, and PSNR in dB relative to the images' shared max_value.
 
-    Squared differences are summed exactly, a band of rows at a time,
-    before the one division, so the MSE does not depend on summation
-    order or band size. Identical images have zero MSE and an undefined
-    PSNR, reported as psnr_db=None.
+    Squared differences are summed exactly, over runs of _RUN pixels of
+    the flattened rasters, before the one division, so the MSE does not
+    depend on summation order or run length. Identical images have zero
+    MSE and an undefined PSNR, reported as psnr_db=None.
     """
     if reference.max_value != test.max_value:
         raise ValueError(
@@ -46,12 +49,10 @@ def psnr(reference: Image, test: Image) -> MetricsReport:
             f"dimension mismatch: {reference.width}x{reference.height}"
             f" vs {test.width}x{test.height}"
         )
-    width, height = reference.width, reference.height
-    total = sum(
-        _sum_of_squares(reference.pixels[y0:y1], test.pixels[y0:y1])
-        for y0, y1 in _bands(height, _REDUCE_PIXEL_BYTES * width)
-    )
-    err = total / (width * height)
+    # views: every Image's pixels are C-contiguous
+    a, b = reference.pixels.reshape(-1), test.pixels.reshape(-1)
+    total = sum(_sum_of_squares(a[i : i + _RUN], b[i : i + _RUN]) for i in range(0, a.size, _RUN))
+    err = total / a.size
     if err == 0.0:
         return MetricsReport(mse=0.0, psnr_db=None)
     peak = reference.max_value

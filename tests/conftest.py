@@ -17,7 +17,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from nnvresize import Image, image, read_pgm
+from nnvresize import Image, image, metrics, read_pgm
 
 STANDARD_ORIGINAL_NAMES = ("cameraman", "girl", "house", "peppers")
 
@@ -45,9 +45,11 @@ def traced_peak(fn, *args):
 
 @contextmanager
 def band_bytes(budget):
-    """Run every banded loop (the resamplers, psnr, block_downsample) with
-    a band budget of ``budget`` bytes; 1 makes every band one row."""
-    with mock.patch.object(image, "_BAND_BYTES", budget):
+    """Run every banded loop (the resamplers, block_downsample) with a band
+    budget of ``budget`` bytes, and psnr with runs of at most budget // 8
+    pixels; 1 makes every band one row and every run one pixel."""
+    run = min(metrics._RUN, max(1, budget // 8))
+    with mock.patch.object(image, "_BAND_BYTES", budget), mock.patch.object(metrics, "_RUN", run):
         yield
 
 

@@ -28,8 +28,9 @@ class TestMse:
         assert psnr(zero, full).mse == psnr(full, zero).mse == 65025.0
 
     def test_full_scale_difference_over_a_large_band(self):
-        # one 90 000-pixel band: 90 000 * 255**2 passes 2**32, so a
-        # uint32 band sum would wrap
+        # 90 000 * 255**2 passes 2**32; a budget of 2**30 leaves the run at
+        # 66 051 pixels, so the pair is summed in two uint32 runs whose
+        # total would wrap in uint32
         zero, full = _const(0, 300, 300), _const(255, 300, 300)
         with band_bytes(2**30):
             assert psnr(zero, full).mse == 65025.0
@@ -42,7 +43,8 @@ class TestMse:
         data=st.data(),
     )
     def test_equals_a_python_int_sum(self, width, height, budget, data):
-        # small band budgets split the pair into bands of one to a few rows
+        # small budgets split the pair into runs of 1, 8 or 32 pixels, which
+        # end mid-row
         a, b = (data.draw(st.binary(min_size=width * height, max_size=width * height)) for _ in range(2))
         want = sum((x - y) ** 2 for x, y in zip(a, b)) / (width * height)
         with band_bytes(budget):

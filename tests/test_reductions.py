@@ -1,8 +1,9 @@
 """psnr and block_downsample against whole-image int64 oracles.
 
-The package walks images in row bands of narrow integers; the oracles in
-refimpl widen the whole image to int64 at once. Block sums of 8-bit
-values move from int16 to int32 between ratios 11 and 12.
+The package walks images in narrow integers, block_downsample in row bands
+and psnr in flat runs of pixels; the oracles in refimpl widen the whole
+image to int64 at once. Block sums of 8-bit values move from int16 to int32
+between ratios 11 and 12.
 """
 
 from contextlib import nullcontext
@@ -19,8 +20,8 @@ from refimpl import oracle_block_downsample, oracle_mse, oracle_psnr
 
 MAX_VALUES = (1, 15, 255)
 RATIOS = range(1, 17)
-# the default budget, and one row (psnr) or one block row (block_downsample)
-# per band
+# the default budget, and one-pixel runs (psnr) or one block row
+# (block_downsample) per band
 BUDGETS = (None, 1)
 
 
@@ -88,8 +89,8 @@ def test_metrics_match_oracle(max_value, band):
 
 
 def test_metrics_match_oracle_across_default_bands():
-    # at the default budget a 512-wide image runs in bands of 128 rows; 300
-    # rows leave a shorter last band
+    # at the default run of 66 051 pixels a 512x300 pair is summed in two
+    # full runs and a shorter last one, each ending mid-row
     rng = np.random.default_rng(300)
     a, b = random_image(rng, 512, 300), random_image(rng, 512, 300)
     assert_metrics_exact(a, b)
@@ -116,7 +117,7 @@ def test_reductions_match_oracles_property(ratio, blocks, max_value, seed, band)
 
 
 def test_metrics_peak_memory_flat_in_height():
-    # a band's uint8 difference and uint16 square are the same size for a
+    # a run's uint8 difference and uint16 square are the same size for a
     # 256-row and a 2048-row image
     rng = np.random.default_rng(2048)
     short, tall = (
@@ -124,6 +125,16 @@ def test_metrics_peak_memory_flat_in_height():
         for height in (256, 2048)
     )
     assert tall - short <= 16 * 1024, f"{tall - short} bytes more for an 8x taller image"
+
+
+def test_metrics_peak_memory_flat_in_width():
+    # runs end mid-row, so a one-row pair 16x wider holds the same run
+    rng = np.random.default_rng(65536)
+    narrow, wide = (
+        traced_peak(psnr, random_image(rng, width, 1), random_image(rng, width, 1))[0]
+        for width in (65_536, 1_048_576)
+    )
+    assert wide - narrow <= 16 * 1024, f"{wide - narrow} bytes more for a 16x wider row"
 
 
 def test_block_downsample_peak_memory_flat_in_height():
