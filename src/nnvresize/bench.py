@@ -3,8 +3,6 @@ and collect PSNR/MSE plus wall-clock time per (image, method, ratio)."""
 
 from __future__ import annotations
 
-import csv
-import io
 import platform
 import time
 from dataclasses import dataclass
@@ -109,22 +107,22 @@ def _fmt_psnr(value: float | None) -> str:
     return "undefined" if value is None else f"{value:.4f}"
 
 
+def _csv_field(name: str) -> str:
+    if any(c in name for c in ',"\r\n'):
+        return '"' + name.replace('"', '""') + '"'
+    return name
+
+
 def rows_to_csv(rows: Iterable[BenchRow]) -> str:
     """CSV text with fixed-format numeric columns; everything except
-    wall_time_s is deterministic across runs. Image names are quoted
-    only when they hold a comma, a quote or a line break, and a CR in a
-    name quotes its whole row."""
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    # csv quotes a CR only when the line terminator holds one, so a row
-    # whose name holds a CR is written with every field quoted
-    quoted = csv.writer(text, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow(CSV_HEADER.split(","))
-    for r in rows:
-        (quoted if "\r" in r.image_name else writer).writerow(
-            (r.image_name, r.method, r.ratio, _fmt_psnr(r.psnr_db), f"{r.mse:.6f}", f"{r.wall_time_s:.6f}")
-        )
-    return text.getvalue()
+    wall_time_s is deterministic across runs. Rows end in LF. By RFC 4180,
+    an image name that holds a comma, a quote, a CR or an LF is quoted,
+    with its quotes doubled; no other field needs quoting."""
+    lines = [CSV_HEADER] + [
+        f"{_csv_field(r.image_name)},{r.method},{r.ratio},{_fmt_psnr(r.psnr_db)},{r.mse:.6f},{r.wall_time_s:.6f}"
+        for r in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
 # a "|" would end a markdown table cell and a line break its row

@@ -191,6 +191,7 @@ class TestCsv:
         rows = [
             BenchRow("plain", "nn", 2, 31.25, 48.5, 0.001),
             BenchRow("carriage\rreturn", "nnv", 2, None, 0.0, 0.002),
+            BenchRow('say "hi"', "bilinear", 6, 25.0, 205.0, 0.005),
             BenchRow("a,b", "bicubic", 4, 28.0, 103.0625, 0.003),
             BenchRow("line\nbreak", "nn", 4, 27.5, 115.0, 0.004),
         ]
@@ -199,11 +200,14 @@ class TestCsv:
         assert [(r["image"], r["method"], r["ratio"], r["psnr_db"], r["mse"]) for r in read] == [
             ("plain", "nn", "2", "31.2500", "48.500000"),
             ("carriage\rreturn", "nnv", "2", "undefined", "0.000000"),
+            ('say "hi"', "bilinear", "6", "25.0000", "205.000000"),
             ("a,b", "bicubic", "4", "28.0000", "103.062500"),
             ("line\nbreak", "nn", "4", "27.5000", "115.000000"),
         ]
-        # every other row keeps its bytes, LF-terminated
+        # every row is LF-terminated, and only a name is ever quoted
         assert text.startswith(CSV_HEADER + "\nplain,nn,2,31.2500,48.500000,0.001000\n")
+        assert '\n"carriage\rreturn",nnv,2,undefined,0.000000,0.002000\n' in text
+        assert '\n"say ""hi""",bilinear,6,25.0000,205.000000,0.005000\n' in text
         assert text.endswith('\n"a,b",bicubic,4,28.0000,103.062500,0.003000\n"line\nbreak",nn,4,27.5000,115.000000,0.004000\n')
 
     def test_undefined_psnr_spelled_out(self):

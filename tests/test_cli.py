@@ -51,12 +51,6 @@ class TestScale:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, line.replace("main.pgm", "module.pgm"), "")
         assert (tmp_path / "module.pgm").read_bytes() == (tmp_path / "main.pgm").read_bytes()
 
-    @pytest.mark.parametrize("method", ["nn", "bilinear", "bicubic", "nnv"])
-    def test_all_methods_run(self, tmp_path, source_pgm, method):
-        out_path = tmp_path / f"{method}.pgm"
-        assert main(["scale", str(source_pgm), str(out_path), "--method", method, "--ratio", "2"]) == 0
-        assert read_pgm(out_path).width == 16
-
     @pytest.mark.parametrize("ratio", range(1, 7))
     @pytest.mark.parametrize("method", ["nn", "bilinear", "bicubic", "nnv"])
     def test_writes_the_bytes_of_save_pgm(self, tmp_path, rng, method, ratio):

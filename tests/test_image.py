@@ -1,7 +1,5 @@
 """Image container, PGM codec, and block downsampling."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -325,12 +323,7 @@ class TestSavePgm:
     def test_peak_memory_is_one_copy(self, rng):
         # the header is joined to the pixel buffer, not to a copy of it
         img = random_image(rng, 512, 512)
-        tracemalloc.start()
-        try:
-            data = save_pgm(img)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, data = traced_peak(save_pgm, img)
         assert peak <= 1.1 * len(data), peak / len(data)
 
     def test_p2_reads_back_as_identical_p5(self):

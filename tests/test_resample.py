@@ -1,7 +1,6 @@
 """Coordinate mapping and the nearest/bilinear/bicubic upscalers."""
 
 import sys
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -173,13 +172,8 @@ class TestBicubicCeiling:
         # 41x41 is the largest source the output limit admits at 1108
         assert (size * 1108) ** 2 <= resample._MAX_OUTPUT_PIXELS
         img = Image(np.full((size, size), 255, np.uint8))
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=r"^bicubic ratio must be at most 1107, got 1108$"):
-                resample_bicubic(img, 1108)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, info = traced_peak(pytest.raises, ValueError, resample_bicubic, img, 1108)
+        info.match(r"^bicubic ratio must be at most 1107, got 1108$")
         assert peak < 64 * 1024
 
     def test_the_ceiling_itself_runs(self):
@@ -300,13 +294,8 @@ class TestOutputLimit:
     def test_refused_before_allocating(self, method):
         img = random_image(np.random.default_rng(64), 64, 64)
         with mock.patch.object(resample, "_MAX_OUTPUT_PIXELS", 1000):
-            tracemalloc.start()
-            try:
-                with pytest.raises(ValueError, match="exceeds the limit"):
-                    method(img, 64)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak, info = traced_peak(pytest.raises, ValueError, method, img, 64)
+        info.match("exceeds the limit")
         assert peak < 64 * 1024  # the output would be 16 MiB
 
 
