@@ -16,8 +16,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nnvresize import Image, image, metrics, read_pgm
+
+# Hypothesis' built-in "ci" profile, everywhere: derandomized, so every run
+# draws the same examples, and no deadline; each test sets only max_examples
+settings.load_profile("ci")
 
 STANDARD_ORIGINAL_NAMES = ("cameraman", "girl", "house", "peppers")
 

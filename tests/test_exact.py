@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnvresize import Image, get_resampler
+from nnvresize import RESAMPLERS, Image, get_resampler
 
 from conftest import band_bytes, random_image
 from refimpl import cell_values, exact_pixel, exact_resample, pixel
 
-METHODS = ("nn", "bilinear", "bicubic", "nnv")
+METHODS = tuple(RESAMPLERS)
 RATIOS = range(1, 13)
 
 # (width, height, max_value): a general block, a single column, a single
@@ -114,13 +114,13 @@ random_cases = given(
 )
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @random_cases
 def test_random_images_match_exact_reference(data, method, ratio, max_value):
     check_random_image(data, method, ratio, max_value)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @random_cases
 def test_random_images_match_exact_reference_one_row_bands(data, method, ratio, max_value):
     with band_bytes(1):

@@ -24,12 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnvresize import Image, get_resampler, resample_nnv
+from nnvresize import RESAMPLERS, Image, get_resampler, resample_nnv
 
 from conftest import random_image
 from refimpl import cell_values, oracle_unique_mode
 
-METHODS = ("nn", "bilinear", "bicubic", "nnv")
+METHODS = tuple(RESAMPLERS)
 # output pixels of the upscale at ratio m·r, so that each case takes milliseconds
 OUTPUT_BUDGET = 1 << 18
 
@@ -52,7 +52,7 @@ def transpose(img: Image) -> Image:
 
 
 @pytest.mark.parametrize("method", METHODS)
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(data=st.data(), img=images(), ratio=st.integers(1, 12))
 def test_subsampled_upscale_is_the_smaller_upscale(method, data, img, ratio):
     # 2 <= most: a 6x6 source at ratio 12 fits 7 times the ratio in the budget
@@ -84,7 +84,7 @@ def test_subsampling_holds_at_large_ratios(rng, method, ratio, factors):
 
 
 @pytest.mark.parametrize("method", ["nn", "nnv"])
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(img=images(), ratio=st.integers(1, 12))
 def test_negation_commutes(method, img, ratio):
     resample = get_resampler(method)
@@ -92,14 +92,14 @@ def test_negation_commutes(method, img, ratio):
 
 
 @pytest.mark.parametrize("method", ["nn", "bilinear", "bicubic"])
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(img=images(), ratio=st.integers(1, 12))
 def test_transposition_commutes(method, img, ratio):
     resample = get_resampler(method)
     assert resample(transpose(img), ratio) == transpose(resample(img, ratio))
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(img=images(), ratio=st.integers(1, 8))
 def test_nnv_under_transposition_differs_only_at_midpoint_ties(img, ratio):
     plain = resample_nnv(img, ratio).pixels

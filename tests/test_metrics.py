@@ -35,7 +35,7 @@ class TestMse:
         with band_bytes(2**30):
             assert psnr(zero, full).mse == 65025.0
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         width=st.integers(1, 12),
         height=st.integers(1, 12),

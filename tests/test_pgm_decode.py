@@ -1,7 +1,8 @@
-"""The PGM decoder against a byte-at-a-time oracle, on crafted and mutated input.
+"""The PGM decoder against a byte-at-a-time oracle, on crafted, mutated and named input.
 
 refimpl.oracle_load_pgm reads one token per step and shares no code with
 the package. Both must give the same Image or the same PgmError message.
+A named case is one row of CASES: its bytes and its exact outcome.
 """
 
 import numpy as np
@@ -17,10 +18,11 @@ WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
 def outcome(decode, data):
+    """The Image ``decode`` returns for ``data``, or its PgmError's message."""
     try:
         return decode(data)
     except PgmError as exc:
-        return f"PgmError: {exc}"
+        return str(exc)
 
 
 def assert_agrees(data: bytes):
@@ -114,7 +116,7 @@ def mutated_pgm(draw):
 # --- the differential fuzz -----------------------------------------------
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(case=p2_encoding())
 def test_crafted_p2_matches_oracle(case):
     data, img = case
@@ -122,13 +124,13 @@ def test_crafted_p2_matches_oracle(case):
     assert_agrees(data)
 
 
-@settings(derandomize=True, max_examples=250, deadline=None)
+@settings(max_examples=250)
 @given(data=mutated_pgm())
 def test_mutated_pgm_matches_oracle(data):
     assert_agrees(data)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     data=st.data(),
     max_value=st.integers(1, 255),
@@ -140,139 +142,131 @@ def test_save_then_load_is_identity(data, max_value):
     assert load_pgm(save_pgm(img)) == img
 
 
-# --- named traps ---------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        b"P2 1 1 255 \n\t \x0b\x0c\r",  # blank raster: np.fromstring reads it as [0]
-        b"P2 1 1 255\n",
-        b"P2 1 1 255 # only\n",
-        b"P2 1 1 255 # only",
-        b"P2 1 1 255",  # nothing after maxval
-    ],
-)
-def test_blank_raster_has_no_samples(data):
-    with pytest.raises(PgmError, match=r"^truncated pixel data: expected 1 samples, got 0$"):
-        load_pgm(data)
-    assert_agrees(data)
-
-
-def test_comment_after_maxval_leaves_no_whitespace_before_raster():
-    # the comment ends maxval, and the raster must still follow one whitespace byte
-    data = b"P5 1 1 255#c\n\n\x07"
-    with pytest.raises(PgmError, match=r"^malformed header: missing whitespace before raster$"):
-        load_pgm(data)
-    assert_agrees(data)
-
-
-@pytest.mark.parametrize("body", [b"1 2", b"1 2 \n"])
-def test_short_raster_counts_its_samples(body):
-    # np.fromstring with count= larger than the data would return garbage
-    with pytest.raises(PgmError, match=r"^truncated pixel data: expected 3 samples, got 2$"):
-        load_pgm(b"P2 3 1 255\n" + body)
-
-
-@pytest.mark.parametrize("tail", [b" 3 4\n", b" +3 x"])  # more samples, or tokens that are none
-def test_samples_past_the_raster_are_ignored(tail):
-    assert load_pgm(b"P2 2 1 255\n1 2" + tail).pixels.tolist() == [[1, 2]]
-
-
-@pytest.mark.parametrize("body", [b"1 2 3", b"1 +2 3", b"1 x 3"])
-def test_count_beyond_sys_maxsize(body):
-    # width * height > sys.maxsize must reach no index or count argument
-    side = 10**20
-    data = b"P2 %d %d 255\n" % (side, side) + body
-    assert_agrees(data)
-    with pytest.raises(PgmError):
-        load_pgm(data)
-
-
-@pytest.mark.parametrize("sample", [b"99999999999999999999", b"1" * 5000], ids=["20-digit", "5000-digit"])
-def test_sample_beyond_int64_is_out_of_range(sample):
-    # a run beyond int64 reads as the int64 maximum, however long it is,
-    # and so is a number out of range
-    for data in (b"P2 1 1 255 " + sample, b"P2 2 1 255 " + sample + b" 1"):
-        with pytest.raises(PgmError, match=r"^sample value outside \[0, 255\]$"):
-            load_pgm(data)
-        assert_agrees(data)
-
-
-def test_malformed_sample_wins_over_overflow_and_truncation():
-    # the oracle reports the first bad token before it runs out of samples
-    data = b"P2 4 1 255 99999999999999999999 1_ 7"
-    with pytest.raises(PgmError, match=r"^malformed sample: b'1_'$"):
-        load_pgm(data)
-    assert_agrees(data)
-
-
-@pytest.mark.parametrize("token", [b"007", b"000"])
-def test_int_literal_forms_accepted(token):
-    data = b"P2 2 1 255 " + token + b" 3"
-    assert load_pgm(data).pixels.tolist() == [[int(token), 3]]
-    assert_agrees(data)
-
-
-@pytest.mark.parametrize(
-    "token",
-    [b"1.0", b"0x1", b"1__0", b"_1", b"1_", b"\xd9\xa1", b"+", b"1e2"]
-    # int() literals: a PGM number is a run of ASCII digits, as netpbm reads it
-    + [b"+7", b"-0", b"-5", b"1_0", b"0_0_7", b"+99999999999999999999", b"-99999999999999999999"],
-)
-def test_non_integer_token_is_malformed(token):
-    with pytest.raises(PgmError, match=r"^malformed sample: "):
-        load_pgm(b"P2 2 1 255 3 " + token)
-    assert_agrees(b"P2 2 1 255 3 " + token)
-
-
-@pytest.mark.parametrize(
-    "header",
-    [b"P2 +2 1 255", b"P2 2 -1 255", b"P2 2 1 +255"],
-    ids=["plus-width", "minus-height", "plus-maxval"],
-)
-def test_header_number_is_a_run_of_digits(header):
-    with pytest.raises(PgmError, match=r"^malformed header: (width|height|maxval) is not a number: "):
-        load_pgm(header + b" 1 2")
-    assert_agrees(header + b" 1 2")
-
-
-@pytest.mark.parametrize("magic, raster", [(b"P5", b"\n\x01\x02"), (b"P2", b" 1 2")], ids=["P5", "P2"])
-def test_zero_padded_header_numbers_decode(magic, raster):
-    # leading zeros are free: 5000 of them leave a small number, in the
-    # header as in a P2 sample
-    zeros = b"0" * 5000
-    data = magic + b" " + zeros + b"2 " + zeros + b"1 " + zeros + b"255" + raster
-    img = load_pgm(data)
-    assert (img.width, img.height, img.max_value) == (2, 1, 255)
-    assert img.pixels.tolist() == [[1, 2]]
-    assert_agrees(data)
-
+# --- named cases ---------------------------------------------------------
 
 # 4000 ones read as the int64 maximum, and width * height as its square
 _SIDE = b"1" * 4000
+_SQUARE = 85070591730234615847396907784232501249
+_ZEROS = b"0" * 5000
+_HUGE_P2 = b"P2 %d %d 255\n" % (10**20, 10**20)
 
-
-@pytest.mark.parametrize(
-    "data, message",
-    [
-        (b"P5 " + b"1" * 5000 + b" 1 255 1 2", "truncated pixel data: expected 9223372036854775807 bytes, got 3"),
-        (
-            b"P5 " + _SIDE + b" " + _SIDE + b" 255\n\x01\x02",
-            "truncated pixel data: expected 85070591730234615847396907784232501249 bytes, got 2",
-        ),
-        (
-            b"P2 " + _SIDE + b" " + _SIDE + b" 255 1 2",
-            "truncated pixel data: expected 85070591730234615847396907784232501249 samples, got 2",
-        ),
-        (b"P5 1 1 " + b"1" * 5000 + b"\n\x01", "maxval out of range (want 1..255): 9223372036854775807"),
-    ],
-    ids=["5000-digit-width", "4000-digit-sides-P5", "4000-digit-sides-P2", "5000-digit-maxval"],
-)
-def test_header_number_beyond_int64_reads_as_its_maximum(data, message):
+# (id, data, the Image it decodes to or the message of the PgmError it raises)
+CASES = [
+    # --- files that decode
+    ("p5", b"P5\n2 2\n255\n" + bytes([10, 20, 30, 40]), Image([[10, 20], [30, 40]])),
+    ("p2", b"P2 1 1 255 7", Image([[7]])),
+    ("p2-comments", b"P2\n# a comment\n2 2 # trailing\n100\n0 1\n2 3\n", Image([[0, 1], [2, 3]], 100)),
+    ("p5-comments", b"P5 # comment\n2 1 # another\n255\n" + bytes([9, 8]), Image([[9, 8]])),
+    ("p5-trailing-bytes", b"P5\n1 1\n255\n\x07\n", Image([[7]])),
+    # a comment ends at CR as well as at LF, and a 1 MiB one decodes in one regex match
+    ("p5-no-comment", b"P5 2 1 255\n" + bytes([9, 8]), Image([[9, 8]])),
+    ("p5-comment-cr", b"P5\n# ends in CR\r2 1\n255\n" + bytes([9, 8]), Image([[9, 8]])),
+    ("p5-comment-glued-cr", b"P5 2#glued\r1\n255\n" + bytes([9, 8]), Image([[9, 8]])),
+    ("p5-comment-1MiB", b"P5 #" + b"x" * (1 << 20) + b"\n2 1\n255\n" + bytes([9, 8]), Image([[9, 8]])),
+    ("p2-no-comment", b"P2 2 1 255\n9 8", Image([[9, 8]])),
+    ("p2-comment-at-eof", b"P2 2 1 255\n9 8# at EOF", Image([[9, 8]])),
+    ("p2-comment-cr", b"P2 2 1 255\n9# at EOF\r8", Image([[9, 8]])),
+    ("p2-comment-1MiB-at-eof", b"P2 2 1 255\n9 8#" + b"x" * (1 << 20), Image([[9, 8]])),
+    ("p2-comment-1MiB-cr", b"P2 2 1 255\n9#" + b"x" * (1 << 20) + b"\r8", Image([[9, 8]])),
+    # leading zeros are free: 5000 of them leave a small number, in the
+    # header as in a P2 sample
+    ("zero-padded-header-P5", b"P5 " + _ZEROS + b"2 " + _ZEROS + b"1 " + _ZEROS + b"255\n\x01\x02", Image([[1, 2]])),
+    ("zero-padded-header-P2", b"P2 " + _ZEROS + b"2 " + _ZEROS + b"1 " + _ZEROS + b"255 1 2", Image([[1, 2]])),
+    ("sample-007", b"P2 2 1 255 007 3", Image([[7, 3]])),
+    ("sample-000", b"P2 2 1 255 000 3", Image([[0, 3]])),
+    # samples past the raster are ignored: more samples, or tokens that are none
+    ("p2-more-samples", b"P2 2 1 255\n1 2 3 4\n", Image([[1, 2]])),
+    ("p2-tokens-past-raster", b"P2 2 1 255\n1 2 +3 x", Image([[1, 2]])),
+    # --- the header
+    ("empty", b"", "empty or unreadable PGM data"),
+    ("comment-only", b"  # c\n", "empty or unreadable PGM data"),
+    ("bad-magic", b"JUNK", "bad magic number b'JUNK': not a PGM file"),
+    ("color-ppm", b"P6\n1 1\n255\n\x00\x00\x00", "unsupported color PPM format P6"),
+    ("zero-width", b"P5\n0 4\n255\n", "dimensions out of range: 0x4"),
+    ("maxval-65535", b"P5\n1 1\n65535\n\x00\x00", "maxval out of range (want 1..255): 65535"),
+    ("header-comment-at-eof", b"P5 2 1 # no maxval", "truncated header: expected another token"),
+    ("plus-width", b"P2 +2 1 255 1 2", "malformed header: width is not a number: b'+2'"),
+    ("minus-height", b"P2 2 -1 255 1 2", "malformed header: height is not a number: b'-1'"),
+    ("plus-maxval", b"P2 2 1 +255 1 2", "malformed header: maxval is not a number: b'+255'"),
     # a header number is read as a P2 sample is; a run beyond int64, however
     # long, reads as the int64 maximum and fails as a number out of range
-    with pytest.raises(PgmError) as info:
-        load_pgm(data)
-    assert str(info.value) == message
+    (
+        "5000-digit-width",
+        b"P5 " + b"1" * 5000 + b" 1 255 1 2",
+        "truncated pixel data: expected 9223372036854775807 bytes, got 3",
+    ),
+    (
+        "4000-digit-sides-P5",
+        b"P5 " + _SIDE + b" " + _SIDE + b" 255\n\x01\x02",
+        f"truncated pixel data: expected {_SQUARE} bytes, got 2",
+    ),
+    (
+        "4000-digit-sides-P2",
+        b"P2 " + _SIDE + b" " + _SIDE + b" 255 1 2",
+        f"truncated pixel data: expected {_SQUARE} samples, got 2",
+    ),
+    (
+        "5000-digit-maxval",
+        b"P5 1 1 " + b"1" * 5000 + b"\n\x01",
+        "maxval out of range (want 1..255): 9223372036854775807",
+    ),
+    # the comment ends maxval, and the raster must still follow one whitespace byte
+    ("p5-comment-after-maxval", b"P5 1 1 255#c\n\n\x07", "malformed header: missing whitespace before raster"),
+    # --- the P5 raster
+    ("p5-truncated", b"P5\n2 2\n255\n\x01\x02", "truncated pixel data: expected 4 bytes, got 2"),
+    ("p5-0-bytes", b"P5 2 2 255", "truncated pixel data: expected 4 bytes, got 0"),
+    ("p5-0-bytes-after-newline", b"P5 2 2 255\n", "truncated pixel data: expected 4 bytes, got 0"),
+    ("p5-1-byte", b"P5 2 2 255\n\x01", "truncated pixel data: expected 4 bytes, got 1"),
+    ("p5-3-bytes", b"P5 2 2 255\n\x01\x02\x03", "truncated pixel data: expected 4 bytes, got 3"),
+    ("p5-byte-101", b"P5 2 1 100\n\x64\x65", "sample value outside [0, 100]"),
+    # --- P2 samples
+    ("p2-truncated", b"P2\n2 2\n255\n1 2 3", "truncated pixel data: expected 4 samples, got 3"),
+    # np.fromstring with count= larger than the data would return garbage
+    ("p2-short-raster", b"P2 3 1 255\n1 2", "truncated pixel data: expected 3 samples, got 2"),
+    ("p2-short-raster-newline", b"P2 3 1 255\n1 2 \n", "truncated pixel data: expected 3 samples, got 2"),
+    # blank raster: np.fromstring reads it as [0]
+    ("blank-raster-whitespace", b"P2 1 1 255 \n\t \x0b\x0c\r", "truncated pixel data: expected 1 samples, got 0"),
+    ("blank-raster-newline", b"P2 1 1 255\n", "truncated pixel data: expected 1 samples, got 0"),
+    ("blank-raster-comment", b"P2 1 1 255 # only\n", "truncated pixel data: expected 1 samples, got 0"),
+    ("blank-raster-comment-at-eof", b"P2 1 1 255 # only", "truncated pixel data: expected 1 samples, got 0"),
+    # nothing after maxval
+    ("blank-raster-at-eof", b"P2 1 1 255", "truncated pixel data: expected 1 samples, got 0"),
+    ("sample-above-maxval", b"P2\n1 1\n10\n11", "sample value outside [0, 10]"),
+    ("p2-beyond-int64", b"P2 2 1 100 7 99999999999999999999", "sample value outside [0, 100]"),
+    # a PGM number is a run of digits: a minus sign is malformed, never "out of range"
+    ("p2-below-int64", b"P2 1 1 100 -99999999999999999999", "malformed sample: b'-99999999999999999999'"),
+    # a run beyond int64 reads as the int64 maximum, however long it is,
+    # and so is a number out of range
+    ("20-digit-sample", b"P2 1 1 255 99999999999999999999", "sample value outside [0, 255]"),
+    ("20-digit-sample-first", b"P2 2 1 255 99999999999999999999 1", "sample value outside [0, 255]"),
+    ("5000-digit-sample", b"P2 1 1 255 " + b"1" * 5000, "sample value outside [0, 255]"),
+    ("5000-digit-sample-first", b"P2 2 1 255 " + b"1" * 5000 + b" 1", "sample value outside [0, 255]"),
+    # the oracle reports the first bad token before it runs out of samples
+    ("malformed-wins", b"P2 4 1 255 99999999999999999999 1_ 7", "malformed sample: b'1_'"),
+    # width * height > sys.maxsize must reach no index or count argument
+    ("count-beyond-maxsize", _HUGE_P2 + b"1 2 3", f"truncated pixel data: expected {_SQUARE} samples, got 3"),
+    ("count-beyond-maxsize-plus", _HUGE_P2 + b"1 +2 3", "malformed sample: b'+2'"),
+    ("count-beyond-maxsize-x", _HUGE_P2 + b"1 x 3", "malformed sample: b'x'"),
+    ("sample-1.0", b"P2 2 1 255 3 1.0", "malformed sample: b'1.0'"),
+    ("sample-0x1", b"P2 2 1 255 3 0x1", "malformed sample: b'0x1'"),
+    ("sample-1__0", b"P2 2 1 255 3 1__0", "malformed sample: b'1__0'"),
+    ("sample-_1", b"P2 2 1 255 3 _1", "malformed sample: b'_1'"),
+    ("sample-1_", b"P2 2 1 255 3 1_", "malformed sample: b'1_'"),
+    ("sample-arabic-one", b"P2 2 1 255 3 \xd9\xa1", "malformed sample: b'\\xd9\\xa1'"),
+    ("sample-+", b"P2 2 1 255 3 +", "malformed sample: b'+'"),
+    ("sample-1e2", b"P2 2 1 255 3 1e2", "malformed sample: b'1e2'"),
+    # int() literals: a PGM number is a run of ASCII digits, as netpbm reads it
+    ("sample-+7", b"P2 2 1 255 3 +7", "malformed sample: b'+7'"),
+    ("sample--0", b"P2 2 1 255 3 -0", "malformed sample: b'-0'"),
+    ("sample--5", b"P2 2 1 255 3 -5", "malformed sample: b'-5'"),
+    ("sample-1_0", b"P2 2 1 255 3 1_0", "malformed sample: b'1_0'"),
+    ("sample-0_0_7", b"P2 2 1 255 3 0_0_7", "malformed sample: b'0_0_7'"),
+    ("sample-+20-digits", b"P2 2 1 255 3 +99999999999999999999", "malformed sample: b'+99999999999999999999'"),
+    ("sample--20-digits", b"P2 2 1 255 3 -99999999999999999999", "malformed sample: b'-99999999999999999999'"),
+]
+
+
+@pytest.mark.parametrize("data, expected", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_named_case(data, expected):
+    assert outcome(load_pgm, data) == expected
     assert_agrees(data)

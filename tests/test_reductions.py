@@ -99,7 +99,7 @@ def test_metrics_match_oracle_across_default_bands():
     assert psnr(zero, full).mse == oracle_mse(zero, full) == 255.0 * 255.0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     ratio=st.integers(1, 16),
     blocks=st.tuples(st.integers(1, 6), st.integers(1, 6)),

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from nnvresize import Image, nnv, resample, resample_bicubic, resample_bilinear, resample_nn, resample_nnv
+from nnvresize import RESAMPLERS, Image, nnv, resample, resample_bicubic, resample_bilinear, resample_nn, resample_nnv
 from nnvresize.nnv import _bilinear_half_up
 from nnvresize.image import _int_dtype
 from nnvresize.resample import _bilinear_weights, _cubic_weights, _half_up_dtype
@@ -14,7 +14,7 @@ from nnvresize.resample import _bilinear_weights, _cubic_weights, _half_up_dtype
 from conftest import random_image, traced_peak
 from refimpl import pixel
 
-ALL_METHODS = (resample_nn, resample_bilinear, resample_bicubic, resample_nnv)
+ALL_METHODS = tuple(RESAMPLERS.values())
 
 # bilinear on a ramp of slope 12 reads back the source position x / ratio
 RAMP = Image([[0, 12, 24, 36]])
