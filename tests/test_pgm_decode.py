@@ -247,26 +247,23 @@ CASES = [
     ("count-beyond-maxsize", _HUGE_P2 + b"1 2 3", f"truncated pixel data: expected {_SQUARE} samples, got 3"),
     ("count-beyond-maxsize-plus", _HUGE_P2 + b"1 +2 3", "malformed sample: b'+2'"),
     ("count-beyond-maxsize-x", _HUGE_P2 + b"1 x 3", "malformed sample: b'x'"),
-    ("sample-1.0", b"P2 2 1 255 3 1.0", "malformed sample: b'1.0'"),
-    ("sample-0x1", b"P2 2 1 255 3 0x1", "malformed sample: b'0x1'"),
-    ("sample-1__0", b"P2 2 1 255 3 1__0", "malformed sample: b'1__0'"),
-    ("sample-_1", b"P2 2 1 255 3 _1", "malformed sample: b'_1'"),
-    ("sample-1_", b"P2 2 1 255 3 1_", "malformed sample: b'1_'"),
-    ("sample-arabic-one", b"P2 2 1 255 3 \xd9\xa1", "malformed sample: b'\\xd9\\xa1'"),
-    ("sample-+", b"P2 2 1 255 3 +", "malformed sample: b'+'"),
-    ("sample-1e2", b"P2 2 1 255 3 1e2", "malformed sample: b'1e2'"),
-    # int() literals: a PGM number is a run of ASCII digits, as netpbm reads it
-    ("sample-+7", b"P2 2 1 255 3 +7", "malformed sample: b'+7'"),
-    ("sample--0", b"P2 2 1 255 3 -0", "malformed sample: b'-0'"),
-    ("sample--5", b"P2 2 1 255 3 -5", "malformed sample: b'-5'"),
-    ("sample-1_0", b"P2 2 1 255 3 1_0", "malformed sample: b'1_0'"),
-    ("sample-0_0_7", b"P2 2 1 255 3 0_0_7", "malformed sample: b'0_0_7'"),
-    ("sample-+20-digits", b"P2 2 1 255 3 +99999999999999999999", "malformed sample: b'+99999999999999999999'"),
-    ("sample--20-digits", b"P2 2 1 255 3 -99999999999999999999", "malformed sample: b'-99999999999999999999'"),
 ]
 
 
 @pytest.mark.parametrize("data, expected", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
 def test_named_case(data, expected):
     assert outcome(load_pgm, data) == expected
+    assert_agrees(data)
+
+
+# a non-integer token in the raster is named in full; one row per token
+@pytest.mark.parametrize(
+    "token",
+    [b"1.0", b"0x1", b"1__0", b"_1", b"1_", b"\xd9\xa1", b"+", b"1e2"]
+    # int() literals: a PGM number is a run of ASCII digits, as netpbm reads it
+    + [b"+7", b"-0", b"-5", b"1_0", b"0_0_7", b"+99999999999999999999", b"-99999999999999999999"],
+)
+def test_non_integer_token_is_malformed(token):
+    data = b"P2 2 1 255 3 " + token
+    assert outcome(load_pgm, data) == f"malformed sample: {token!r}"
     assert_agrees(data)
