@@ -14,6 +14,8 @@ _DIGITS = b"0123456789"
 _COMMENT = re.compile(rb"#[^\r\n]*")
 # whitespace and comments, then the token they precede (empty at the end)
 _TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]+|" + _COMMENT.pattern + rb")*([^ \t\n\r\x0b\x0c#]*)")
+# a whitespace byte: where a chunk of P2 text may end
+_SPACE = re.compile(rb"[ \t\n\r\x0b\x0c]")
 
 # bytes of work per band (a resampler's output), chosen by measurement,
 # not to fit a cache: NNV's temporaries for a 512-wide source at ratio 2
@@ -21,10 +23,13 @@ _TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]+|" + _COMMENT.pattern + rb")*([^ \t\
 # 72-80, 71 and 69-70 ms at 64, 128, 256, 512 and 1024 KiB, and bicubic
 # was slower at 1024 KiB than at 512. A small image runs as one band.
 _BAND_BYTES = 512 * 1024
-# bytes per source pixel that block_downsample's bands are sized by, an
+# bytes per source pixel that block_downsample's bands and tiles are sized by, an
 # upper bound: its strided row sums and block sums each hold at most one
 # int64 per column of a block row, which spans ratio source rows
 _REDUCE_PIXEL_BYTES = 8
+# bytes of temporaries per byte of P2 text that its chunks are sized by, about:
+# the chunk, its padded copy, the digit values and masks, and the run values
+_P2_TEXT_BYTES = 8
 
 
 class PgmError(ValueError):
@@ -137,29 +142,62 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     return min(int(token.lstrip(b"0")[:20] or b"0"), 2**63 - 1), pos
 
 
-def _p2_samples(body: bytes, count: int) -> np.ndarray:
-    """The first ``count`` samples of a P2 raster as int64, or PgmError.
+def _digit_runs(text: bytes) -> np.ndarray:
+    """The value of each run of ASCII digits in ``text``, whose other bytes
+    are whitespace, as uint16; a run of four or more significant digits
+    reads as 1000."""
+    d = np.frombuffer(b"  " + text + b" ", dtype=np.uint8) - 48  # whitespace wraps to 208 and up
+    digit = d < 10
+    d *= digit
+    # the value of the run ending at each byte, from its last three digits
+    value = np.multiply(d[:-3], digit[1:-2], dtype=np.uint16)
+    value *= 100
+    value += d[1:-2] * 10
+    value += d[2:-1]
+    last = digit[2:-1] > digit[3:]
+    values = np.compress(last, value)
+    # a nonzero digit with three digits after it starts a run of 1000 or more
+    four = digit[:-1] & digit[1:]
+    four = four[:-2] & four[2:]
+    if four.any():
+        values[np.searchsorted(np.flatnonzero(last), np.flatnonzero(four & (d[:-3] != 0)))] = 1000
+    return values
+
+
+def _p2_samples(data: bytes, pos: int, count: int) -> tuple[np.ndarray, np.uint16]:
+    """The first ``count`` samples of the P2 raster at data[pos:] as uint8,
+    and the largest of them as a uint16 scalar, or PgmError.
 
     A sample is a run of ASCII digits between whitespace; a comment ends a
-    sample, and whatever follows the last sample is ignored. A sample
-    beyond int64 reads as the int64 maximum, which no maxval admits.
+    sample, and whatever follows the last sample is ignored. A run of four
+    or more significant digits reads as 1000, which no maxval admits. The
+    text is read in chunks of about _BAND_BYTES // _P2_TEXT_BYTES bytes,
+    each ending at whitespace and past the end of any comment it opens, so
+    no token or comment spans two of them.
     """
-    if b"#" in body:
-        body = _COMMENT.sub(b" ", body)
-    other = body.translate(None, _DIGITS + _WHITESPACE)
-    # the samples end where the token holding the first other byte starts
-    head = body[: body.find(other[:1])].rstrip(_DIGITS) if other else body
-    # one C-level pass; np.fromstring reads a blank string as [0] and must
-    # never get count=, which over-reads
-    if head and not head.isspace():
-        samples = np.fromstring(head, dtype=np.int64, sep=" ")
-    else:
-        samples = np.empty(0, dtype=np.int64)
-    if len(samples) < count and other:
-        raise PgmError(f"malformed sample: {_next_token(body, len(head))[0]!r}")
-    if len(samples) < count:
-        raise PgmError(f"truncated pixel data: expected {count} samples, got {len(samples)}")
-    return samples[:count]
+    size = max(1, _BAND_BYTES // _P2_TEXT_BYTES)
+    # a sample takes two bytes at least: a digit and the whitespace before it
+    raster = np.empty(min(count, (len(data) - pos) // 2), dtype=np.uint8)
+    filled, largest = 0, np.uint16(0)
+    while filled < count and pos < len(data):
+        space = _SPACE.search(data, pos + size)
+        end = space.start() if space else len(data)
+        comment = data.rfind(b"#", pos, end)
+        if comment >= 0:
+            end = max(end, _COMMENT.match(data, comment).end())
+        text = _COMMENT.sub(b" ", data[pos:end]) if comment >= 0 else data[pos:end]
+        other = text.translate(None, _DIGITS + _WHITESPACE)
+        # the samples end where the token holding the first other byte starts
+        head = text[: text.find(other[:1])].rstrip(_DIGITS) if other else text
+        values = _digit_runs(head)[: count - filled]
+        raster[filled : filled + len(values)] = values
+        filled, largest = filled + len(values), max(largest, values.max(initial=0))
+        if other and filled < count:
+            raise PgmError(f"malformed sample: {_next_token(text, len(head))[0]!r}")
+        pos = end
+    if filled < count:
+        raise PgmError(f"truncated pixel data: expected {count} samples, got {filled}")
+    return raster, largest
 
 
 def load_pgm(data: bytes) -> Image:
@@ -167,7 +205,8 @@ def load_pgm(data: bytes) -> Image:
 
     Comments ('#' to the end of the line) may stand anywhere in the header
     and, in P2, between samples. Color formats (P6/P3) and maxval > 255
-    are rejected. Malformed input raises PgmError.
+    are rejected. Malformed input raises PgmError. A P2 raster is parsed
+    from bounded chunks of its text straight into uint8.
     """
     data = bytes(data)
     try:
@@ -196,17 +235,18 @@ def load_pgm(data: bytes) -> Image:
         if available < count:
             raise PgmError(f"truncated pixel data: expected {count} bytes, got {available}")
         # a view of the raster in data, not a copy of it
-        arr = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos + 1).reshape(height, width)
+        arr = checked = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos + 1)
     else:
-        arr = _p2_samples(data[pos:], count).reshape(height, width)
+        # the largest sample stands for the raster
+        arr, checked = _p2_samples(data, pos, count)
 
     # the header checks leave only the sample range to refuse
     try:
-        _check_range(arr, maxval)
+        _check_range(checked, maxval)
     except ValueError:
         raise PgmError(f"sample value outside [0, {maxval}]") from None
     # a P5 raster stays a view of data, which nothing writes
-    return Image._adopt(np.ascontiguousarray(arr, dtype=np.uint8), maxval)
+    return Image._adopt(arr.reshape(height, width), maxval)
 
 
 def _p5_header(img: Image) -> bytes:
@@ -283,11 +323,13 @@ def block_downsample(img: Image, ratio: int) -> Image:
     # (s + r^2 // 2) // r^2; a mean of values in [0, max_value] rounds to
     # at most max_value, so no clamp
     dtype = _int_dtype(denom * img.max_value + denom // 2)
-    width = img.width
-    out = np.empty((img.height // ratio, width // ratio), dtype=np.uint8)
-    for y0, y1 in _bands(out.shape[0], _REDUCE_PIXEL_BYTES * width * ratio):
-        # no name holds a band's sums, so they are freed before the next
-        # band's are taken
-        band = img.pixels[y0 * ratio : y1 * ratio]
-        np.floor_divide(_block_sums_half_up(band, ratio, dtype), denom, out=out[y0:y1], casting="unsafe")
+    out = np.empty((img.height // ratio, img.width // ratio), dtype=np.uint8)
+    block_bytes = _REDUCE_PIXEL_BYTES * denom
+    for y0, y1 in _bands(out.shape[0], block_bytes * out.shape[1]):
+        # a block row past the budget is split by columns too
+        for x0, x1 in _bands(out.shape[1], block_bytes):
+            # no name holds a tile's sums, so they are freed before the
+            # next tile's are taken
+            tile = img.pixels[y0 * ratio : y1 * ratio, x0 * ratio : x1 * ratio]
+            np.floor_divide(_block_sums_half_up(tile, ratio, dtype), denom, out=out[y0:y1, x0:x1], casting="unsafe")
     return Image._adopt(out, img.max_value)

@@ -189,7 +189,8 @@ class TestLoadPgm:
         assert img == load_pgm(bytearray(data))
 
     def test_p2_trailing_text_costs_no_second_decode(self, rng):
-        # text after the last sample leaves the raster on the one np.fromstring pass
+        # text after the last sample is never parsed: the decode stops at
+        # the chunk that holds the last sample
         img = random_image(rng, 512, 512)
         clean = b"P2 512 512 255\n" + "\n".join(" ".join(map(str, row)) for row in img.pixels.tolist()).encode()
         (clean_peak, clean_img), (tail_peak, tail_img) = (
@@ -197,6 +198,23 @@ class TestLoadPgm:
         )
         assert clean_img == tail_img == img
         assert tail_peak <= 2 * clean_peak, (tail_peak, clean_peak)
+
+    def test_p2_peak_memory_is_bounded(self, rng):
+        # the text is parsed in bounded chunks straight into the uint8
+        # raster, so a decode holds the raster and one chunk's temporaries,
+        # whatever the layout of the text
+        img = random_image(rng, 1024, 1024)
+        rows = [" ".join(map(str, row)).encode() for row in img.pixels.tolist()]
+        forms = {
+            "clean": b"P2 1024 1024 255\n" + b"\n".join(rows),
+            "comments": b"P2 1024 1024 255\n" + b"".join(row + b" # a comment\n" for row in rows),
+            "trailing": b"P2 1024 1024 255\n" + b"\n".join(rows) + b"\nend of data\n",
+            "one-line": b"P2 1024 1024 255 " + b" ".join(rows),
+        }
+        for form, data in forms.items():
+            peak, decoded = traced_peak(load_pgm, data)
+            assert decoded == img, form
+            assert peak <= 2 * img.pixels.nbytes + 2 * 2**20, (form, peak)
 
 
 class TestSavePgm:

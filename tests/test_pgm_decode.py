@@ -2,7 +2,10 @@
 
 refimpl.oracle_load_pgm reads one token per step and shares no code with
 the package. Both must give the same Image or the same PgmError message.
-A named case is one row of CASES: its bytes and its exact outcome.
+A named case is one row of CASES: its bytes and its exact outcome. The
+fuzzers also decode inside band_bytes(1), where the P2 text is read in
+one-byte chunks, each stretched to the token's end, so every token and
+every comment is its own chunk.
 """
 
 import numpy as np
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from nnvresize import Image, PgmError, load_pgm, save_pgm
 
+from conftest import band_bytes
 from refimpl import oracle_load_pgm
 
 WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -28,6 +32,13 @@ def outcome(decode, data):
 def assert_agrees(data: bytes):
     """The package decodes ``data`` as the oracle does; only PgmError escapes."""
     assert outcome(load_pgm, data) == outcome(oracle_load_pgm, data), data
+
+
+def assert_agrees_in_any_chunks(data: bytes):
+    """assert_agrees at the default chunk size and in one-byte chunks."""
+    assert_agrees(data)
+    with band_bytes(1):
+        assert_agrees(data)
 
 
 # --- strategies ------------------------------------------------------------
@@ -53,13 +64,16 @@ def separator(draw):
 
 @st.composite
 def sample_token(draw, maxval):
-    """A decimal sample, sometimes with leading zeros."""
-    return b"0" * draw(st.integers(0, 2)) + str(draw(st.integers(0, maxval))).encode()
+    """A decimal sample with up to 4 leading zeros; one in 16 has 4 to 6
+    significant digits, which no maxval admits."""
+    value = draw(st.integers(1000, 999_999)) if draw(st.integers(0, 15)) == 0 else draw(st.integers(0, maxval))
+    return b"0" * draw(st.integers(0, 4)) + str(value).encode()
 
 
 @st.composite
 def p2_encoding(draw):
-    """(P2 bytes, the image they encode)."""
+    """(P2 bytes, the image they encode or the message of the PgmError
+    that a sample out of range raises)."""
     width, height = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     maxval = draw(st.integers(1, 255))
     tokens = [draw(sample_token(maxval)) for _ in range(width * height)]
@@ -73,7 +87,10 @@ def p2_encoding(draw):
     # trailing data: nothing, junk, or more samples than the header asks for
     extra = st.lists(st.integers(0, 999), max_size=3).map(lambda v: b" ".join(b"%d" % n for n in v))
     out += draw(st.one_of(st.just(b""), st.binary(max_size=8), extra))
-    return out, Image(np.reshape([int(t) for t in tokens], (height, width)), maxval)
+    values = [int(t) for t in tokens]
+    if max(values) > maxval:
+        return out, f"sample value outside [0, {maxval}]"
+    return out, Image(np.reshape(values, (height, width)), maxval)
 
 
 @st.composite
@@ -119,15 +136,15 @@ def mutated_pgm(draw):
 @settings(max_examples=150)
 @given(case=p2_encoding())
 def test_crafted_p2_matches_oracle(case):
-    data, img = case
-    assert load_pgm(data) == img
-    assert_agrees(data)
+    data, expected = case
+    assert outcome(load_pgm, data) == expected
+    assert_agrees_in_any_chunks(data)
 
 
 @settings(max_examples=250)
 @given(data=mutated_pgm())
 def test_mutated_pgm_matches_oracle(data):
-    assert_agrees(data)
+    assert_agrees_in_any_chunks(data)
 
 
 @settings(max_examples=60)
@@ -174,8 +191,11 @@ CASES = [
     ("zero-padded-header-P2", b"P2 " + _ZEROS + b"2 " + _ZEROS + b"1 " + _ZEROS + b"255 1 2", Image([[1, 2]])),
     ("sample-007", b"P2 2 1 255 007 3", Image([[7, 3]])),
     ("sample-000", b"P2 2 1 255 000 3", Image([[0, 3]])),
+    # a run's value is not its last three digits
+    ("sample-0000255", b"P2 1 1 255 0000255", Image([[255]])),
     # samples past the raster are ignored: more samples, or tokens that are none
     ("p2-more-samples", b"P2 2 1 255\n1 2 3 4\n", Image([[1, 2]])),
+    ("p2-1000-past-raster", b"P2 2 1 255\n1 2 1000\n", Image([[1, 2]])),
     ("p2-tokens-past-raster", b"P2 2 1 255\n1 2 +3 x", Image([[1, 2]])),
     # --- the header
     ("empty", b"", "empty or unreadable PGM data"),
@@ -221,10 +241,10 @@ CASES = [
     ("p5-byte-101", b"P5 2 1 100\n\x64\x65", "sample value outside [0, 100]"),
     # --- P2 samples
     ("p2-truncated", b"P2\n2 2\n255\n1 2 3", "truncated pixel data: expected 4 samples, got 3"),
-    # np.fromstring with count= larger than the data would return garbage
+    # a raster shorter than the header's count is truncated, never padded
     ("p2-short-raster", b"P2 3 1 255\n1 2", "truncated pixel data: expected 3 samples, got 2"),
     ("p2-short-raster-newline", b"P2 3 1 255\n1 2 \n", "truncated pixel data: expected 3 samples, got 2"),
-    # blank raster: np.fromstring reads it as [0]
+    # a blank raster holds no sample, not a 0
     ("blank-raster-whitespace", b"P2 1 1 255 \n\t \x0b\x0c\r", "truncated pixel data: expected 1 samples, got 0"),
     ("blank-raster-newline", b"P2 1 1 255\n", "truncated pixel data: expected 1 samples, got 0"),
     ("blank-raster-comment", b"P2 1 1 255 # only\n", "truncated pixel data: expected 1 samples, got 0"),
@@ -232,6 +252,7 @@ CASES = [
     # nothing after maxval
     ("blank-raster-at-eof", b"P2 1 1 255", "truncated pixel data: expected 1 samples, got 0"),
     ("sample-above-maxval", b"P2\n1 1\n10\n11", "sample value outside [0, 10]"),
+    ("sample-1000", b"P2 1 1 255 1000", "sample value outside [0, 255]"),
     ("p2-beyond-int64", b"P2 2 1 100 7 99999999999999999999", "sample value outside [0, 100]"),
     # a PGM number is a run of digits: a minus sign is malformed, never "out of range"
     ("p2-below-int64", b"P2 1 1 100 -99999999999999999999", "malformed sample: b'-99999999999999999999'"),

@@ -1,7 +1,8 @@
 """psnr and block_downsample against whole-image int64 oracles.
 
 The package walks images in narrow integers, block_downsample in row bands
-and psnr in flat runs of pixels; the oracles in refimpl widen the whole
+(split into column tiles where one block row passes the band budget) and
+psnr in flat runs of pixels; the oracles in refimpl widen the whole
 image to int64 at once. Block sums of 8-bit values move from int16 to int32
 between ratios 11 and 12.
 """
@@ -20,8 +21,8 @@ from refimpl import oracle_block_downsample, oracle_mse, oracle_psnr
 
 MAX_VALUES = (1, 15, 255)
 RATIOS = range(1, 17)
-# the default budget, and one-pixel runs (psnr) or one block row
-# (block_downsample) per band
+# the default budget, and one-pixel runs (psnr) or one block
+# (block_downsample) per tile
 BUDGETS = (None, 1)
 
 
@@ -146,4 +147,17 @@ def test_block_downsample_peak_memory_flat_in_height():
     )
     growth = tall - short
     extra_output = tall_out.pixels.nbytes - short_out.pixels.nbytes
+    assert growth <= extra_output + 16 * 1024, f"{growth - extra_output} bytes beyond the extra output"
+
+
+@pytest.mark.parametrize("ratio", (2, 8))
+def test_block_downsample_peak_memory_flat_in_width(ratio):
+    # one block row 16x wider costs only its extra output: a row past the
+    # band budget is split into column tiles whose sums are the same size
+    rng = np.random.default_rng(ratio)
+    (narrow, narrow_out), (wide, wide_out) = (
+        traced_peak(block_downsample, random_image(rng, width, ratio), ratio) for width in (65_536, 1_048_576)
+    )
+    growth = wide - narrow
+    extra_output = wide_out.pixels.nbytes - narrow_out.pixels.nbytes
     assert growth <= extra_output + 16 * 1024, f"{growth - extra_output} bytes beyond the extra output"
