@@ -1,5 +1,5 @@
 """Grayscale image container, PGM codec, block-average downsampling, and
-the row bands that every whole-image loop of the package walks."""
+the tiles that every 2-D loop of the package walks."""
 
 from __future__ import annotations
 
@@ -17,11 +17,12 @@ _TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]+|" + _COMMENT.pattern + rb")*([^ \t\
 # a whitespace byte: where a chunk of P2 text may end
 _SPACE = re.compile(rb"[ \t\n\r\x0b\x0c]")
 
-# bytes of work per band (a resampler's output), chosen by measurement,
-# not to fit a cache: NNV's temporaries for a 512-wide source at ratio 2
-# are about 6 MiB. Over the scale-photo mix on 2 vCPUs, NNV took 155, 103,
-# 72-80, 71 and 69-70 ms at 64, 128, 256, 512 and 1024 KiB, and bicubic
-# was slower at 1024 KiB than at 512. A small image runs as one band.
+# bytes of work per band and per tile (for a resampler, a band's output
+# and a tile's first pass), chosen by measurement, not to fit a cache:
+# NNV's temporaries for a 512-wide source at ratio 2 are about 6 MiB.
+# Over the scale-photo mix on 2 vCPUs, NNV took 155, 103, 72-80, 71 and
+# 69-70 ms at 64, 128, 256, 512 and 1024 KiB, and bicubic was slower at
+# 1024 KiB than at 512. A small image runs as one band.
 _BAND_BYTES = 512 * 1024
 # bytes per source pixel that block_downsample's bands and tiles are sized by, an
 # upper bound: its strided row sums and block sums each hold at most one
@@ -277,12 +278,15 @@ def write_pgm(path: str | os.PathLike, img: Image) -> None:
         fh.write(raster)
 
 
-def _bands(rows: int, row_bytes: int):
-    """(y0, y1) of consecutive bands [y0, y1) of ``rows`` rows that cost
-    ``row_bytes`` each, about _BAND_BYTES a band and one row at least."""
-    step = max(1, _BAND_BYTES // row_bytes)
-    for y0 in range(0, rows, step):
-        yield y0, min(y0 + step, rows)
+def _tiles(rows: int, cols: int, band_cost: int, tile_cost: int):
+    """(y0, y1, x0, x1) of the tiles [y0, y1) x [x0, x1) of a ``rows`` x
+    ``cols`` grid, row-major: bands of about _BAND_BYTES at ``band_cost``
+    bytes a cell, one row at least, each cut into tiles of about
+    _BAND_BYTES at ``tile_cost`` bytes a cell, one column at least."""
+    height, width = max(1, _BAND_BYTES // (cols * band_cost)), max(1, _BAND_BYTES // tile_cost)
+    for y0 in range(0, rows, height):
+        for x0 in range(0, cols, width):
+            yield y0, min(y0 + height, rows), x0, min(x0 + width, cols)
 
 
 def _int_dtype(bound: int):
@@ -324,12 +328,9 @@ def block_downsample(img: Image, ratio: int) -> Image:
     # at most max_value, so no clamp
     dtype = _int_dtype(denom * img.max_value + denom // 2)
     out = np.empty((img.height // ratio, img.width // ratio), dtype=np.uint8)
-    block_bytes = _REDUCE_PIXEL_BYTES * denom
-    for y0, y1 in _bands(out.shape[0], block_bytes * out.shape[1]):
-        # a block row past the budget is split by columns too
-        for x0, x1 in _bands(out.shape[1], block_bytes):
-            # no name holds a tile's sums, so they are freed before the
-            # next tile's are taken
-            tile = img.pixels[y0 * ratio : y1 * ratio, x0 * ratio : x1 * ratio]
-            np.floor_divide(_block_sums_half_up(tile, ratio, dtype), denom, out=out[y0:y1, x0:x1], casting="unsafe")
+    for y0, y1, x0, x1 in _tiles(*out.shape, _REDUCE_PIXEL_BYTES * denom, _REDUCE_PIXEL_BYTES * denom):
+        # no name holds a tile's sums, so they are freed before the next
+        # tile's are taken
+        tile = img.pixels[y0 * ratio : y1 * ratio, x0 * ratio : x1 * ratio]
+        np.floor_divide(_block_sums_half_up(tile, ratio, dtype), denom, out=out[y0:y1, x0:x1], casting="unsafe")
     return Image._adopt(out, img.max_value)

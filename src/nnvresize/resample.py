@@ -8,11 +8,14 @@ Quantization is round half up, then clamp to [0, max_value].
 At an integer ratio r every sub-pixel offset is i/r, so output pixel
 (y*r + j, x*r + i) is a fixed kernel applied at phase (j, i) to the
 edge-padded source around (y, x). Every resampler, NNV included, runs
-through one band loop, _banded: it pads the source once, as uint8, and
-walks it in bands of source rows [y0, y1) that hold about
-image._BAND_BYTES of output each. Per band, a method's band kernel gets
-the padded rows its taps reach and the (y1 - y0, r, width*r) view of
-output rows [y0*r, y1*r), and writes each byte of that view once.
+through one tile loop, _banded: it pads the source once, as uint8, and
+walks it with image._tiles, the package's one 2-D walker, in bands of
+source rows [y0, y1) that hold about image._BAND_BYTES of output each,
+a band cut into tiles of source columns [x0, x1) whose first pass, r
+values a source pixel, holds about as much. Per tile, a method's kernel
+gets the padded rows and columns its taps reach and the
+(y1 - y0, r, (x1 - x0)*r) view of output rows [y0*r, y1*r) and columns
+[x0*r, x1*r), and writes each byte of that view once.
 Taps are weighed with integers over a power of r, rounding offset folded
 in. The three kernels here run their horizontal pass first, at source
 height, into rows whose column phases are interleaved as in the output,
@@ -22,10 +25,12 @@ first pass, NNV's own bilinear guide included, which steps down the rows
 first, as its cells live at source resolution. Where that rule's bound
 passes int64, from ratio 378 at 8 bits, bicubic splits its second pass
 to stay in int64; it refuses ratios above 1107. Every value is exact.
-Each method's temporaries are the size of a band, and a band is at
-least one source row, so once one row's output (w*r*r bytes) passes
-_BAND_BYTES, the temporaries grow with the width: bicubic holds 49 MiB
-over a 16 MiB output on a 1x262144 source at ratio 8.
+Each method's temporaries are the size of a tile, so beyond the padded
+source they grow with neither the height nor, past one tile, the width:
+bicubic holds 14 MiB over a 32 MiB output on a 1x524288 source at ratio
+8, 12.3 MiB at a width of 65536. A row is split only once its first
+pass (w*r values) passes _BAND_BYTES, so a tiny source at a huge ratio
+stays whole, and its kernels step through their r phases once a band.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .image import Image, _bands, _check_count, _int_dtype
+from .image import Image, _check_count, _int_dtype, _tiles
 
 # the largest output, in pixels, a resampler will allocate
 _MAX_OUTPUT_PIXELS = 2**31
@@ -42,17 +47,20 @@ _MAX_OUTPUT_PIXELS = 2**31
 # the largest bicubic ratio: reach * d, a bound of _bicubic's split, fits int64
 _MAX_BICUBIC_RATIO = 1107
 
-# kernel(band, ratio, max_value, out) writes one band's output: band holds
-# the padded source rows [y0, y1 + before + after), and out is the
-# (y1 - y0, ratio, width*ratio) view of the output whose [y, j] row is
-# output row (y0 + y)*ratio + j
+# kernel(band, ratio, max_value, out) writes one tile's output: band holds
+# the padded source rows [y0, y1 + before + after) and columns
+# [x0, x1 + before + after), and out is the (y1 - y0, ratio,
+# (x1 - x0)*ratio) view of the output whose [y, j, k] pixel is output
+# pixel ((y0 + y)*ratio + j, x0*ratio + k)
 Kernel = Callable[[np.ndarray, int, int, np.ndarray], None]
 
 
 def _banded(img: Image, ratio, before: int, after: int, kernel: Kernel) -> Image:
-    """Upscale ``img`` band by band with ``kernel`` over the source
+    """Upscale ``img`` tile by tile with ``kernel`` over the source
     edge-padded by ``before`` rows and columns before it and ``after``
-    after it.
+    after it: image._tiles sizes bands by their output, r*r bytes a
+    source pixel, and tiles by the r values a source pixel that each
+    kernel's first pass holds.
 
     The ratio and the output size are checked before anything is
     allocated.
@@ -67,10 +75,11 @@ def _banded(img: Image, ratio, before: int, after: int, kernel: Kernel) -> Image
     src = np.pad(img.pixels, ((before, after), (before, after)), mode="edge")
     out = np.empty((h * ratio, w * ratio), dtype=np.uint8)
     rows = out.reshape(h, ratio, w * ratio)
-    for y0, y1 in _bands(h, w * ratio * ratio):
+    for y0, y1, x0, x1 in _tiles(h, w, ratio * ratio, ratio):
         # a kernel's temporaries are freed when it returns, before the
-        # next band allocates its own
-        kernel(src[y0 : y1 + before + after], ratio, img.max_value, rows[y0:y1])
+        # next tile allocates its own
+        band = src[y0 : y1 + before + after, x0 : x1 + before + after]
+        kernel(band, ratio, img.max_value, rows[y0:y1, :, x0 * ratio : x1 * ratio])
     return Image._adopt(out, img.max_value)
 
 

@@ -50,11 +50,11 @@ def traced_peak(fn, *args):
 
 @contextmanager
 def band_bytes(budget):
-    """Run every banded loop (the resamplers, block_downsample and the P2
-    decoder's chunks) with a band budget of ``budget`` bytes, and psnr with
-    runs of at most budget // 8 pixels; 1 makes every band one row (one
-    block in block_downsample), every P2 chunk one token or comment, and
-    every run one pixel."""
+    """Run every tiled loop (the resamplers and block_downsample) and the
+    P2 decoder's chunks with a budget of ``budget`` bytes, and psnr with
+    runs of at most budget // 8 pixels; 1 makes every tile one source
+    pixel (one block in block_downsample), every P2 chunk one token or
+    comment, and every run one pixel."""
     run = min(metrics._RUN, max(1, budget // 8))
     with mock.patch.object(image, "_BAND_BYTES", budget), mock.patch.object(metrics, "_RUN", run):
         yield

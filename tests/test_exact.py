@@ -55,10 +55,11 @@ def test_matches_exact_reference(method, ratio):
 @pytest.mark.parametrize("ratio", RATIOS)
 @pytest.mark.parametrize("method", METHODS)
 def test_band_seams_match_exact_reference(method, ratio):
-    # one source row per band, then two rows per band with a shorter
+    # one source pixel per tile, then two columns per tile with a shorter
+    # last tile on the odd widths, then two rows per band with a shorter
     # last band on the odd heights: every tap window crosses a seam
     for img in seeded_images(ratio):
-        for budget in (1, 2 * img.width * ratio * ratio):
+        for budget in (1, 2 * ratio, 2 * img.width * ratio * ratio):
             with band_bytes(budget):
                 assert_matches_reference(method, img, ratio)
 

@@ -56,6 +56,8 @@ CASES = {
     "photo_300x260": (_photo(300, 260, 5), (2, 3, 4, 6)),
     # bicubic's split second pass, up to its largest ratio
     "tiny_3x2": (_photo(3, 2, 6), (378, 1000, 1107)),
+    # two column tiles at ratios 8 and 12, the second one shorter
+    "row_1x70000": (_photo(70000, 1, 7), (8, 12)),
 }
 
 

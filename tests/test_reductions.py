@@ -1,10 +1,11 @@
-"""psnr and block_downsample against whole-image int64 oracles.
+"""psnr and block_downsample against whole-image int64 oracles, and the
+tile walker that block_downsample shares with the resamplers.
 
-The package walks images in narrow integers, block_downsample in row bands
-(split into column tiles where one block row passes the band budget) and
-psnr in flat runs of pixels; the oracles in refimpl widen the whole
-image to int64 at once. Block sums of 8-bit values move from int16 to int32
-between ratios 11 and 12.
+The package walks images in narrow integers, block_downsample in the
+tiles of image._tiles (row bands, split into column tiles where one block
+row passes the band budget) and psnr in flat runs of pixels; the oracles
+in refimpl widen the whole image to int64 at once. Block sums of 8-bit
+values move from int16 to int32 between ratios 11 and 12.
 """
 
 from contextlib import nullcontext
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnvresize import Image, block_downsample, psnr
+from nnvresize import Image, block_downsample, image, psnr
 
 from conftest import band_bytes, random_image, traced_peak
 from refimpl import oracle_block_downsample, oracle_mse, oracle_psnr
@@ -38,6 +39,31 @@ def images(rng, width, height, max_value):
         Image(np.zeros((height, width), dtype=np.uint8), max_value),
         Image(np.full((height, width), max_value, dtype=np.uint8), max_value),
     ]
+
+
+# (rows, cols, band_cost, tile_cost) at the default budget: a grid that is
+# one tile, bands of several rows with a shorter last one, one-row bands
+# cut into two tiles with a shorter last one (a 70000-wide resampler row
+# at ratio 8), and one-row bands that are one tile each (a 4-wide
+# resampler row at ratio 600); one-pixel tiles inside band_bytes(1)
+GRIDS = ((5, 7, 1, 1), (700, 300, 4, 2), (3, 70_000, 64, 8), (2, 4, 600 * 600, 600))
+
+
+@pytest.mark.parametrize("band", BUDGETS, ids=("default", "one-pixel"))
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: "x".join(map(str, g)))
+def test_tiles_cover_the_grid_once_in_row_major_order(grid, band):
+    rows, cols, band_cost, tile_cost = grid
+    with budget(band):
+        tiles, fits = list(image._tiles(*grid)), cols * tile_cost <= image._BAND_BYTES
+    covered = np.zeros((rows, cols), dtype=np.int64)
+    for y0, y1, x0, x1 in tiles:
+        # every band is one row at least, and every tile one column
+        assert 0 <= y0 < y1 <= rows and 0 <= x0 < x1 <= cols, (y0, y1, x0, x1)
+        # a row whose cols * tile_cost fits the budget is one tile
+        assert not fits or (x0, x1) == (0, cols), (y0, y1, x0, x1)
+        covered[y0:y1, x0:x1] += 1
+    assert np.all(covered == 1)
+    assert tiles == sorted(tiles)
 
 
 def assert_downsample_exact(img, ratio):

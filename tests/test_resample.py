@@ -277,6 +277,20 @@ def test_peak_memory_flat_in_height(method):
     assert growth <= padded_growth + 16 * 1024, f"{growth} bytes beyond the output"
 
 
+@pytest.mark.parametrize("method", PEAK_BOUNDS, ids=lambda f: f.__name__)
+def test_peak_memory_flat_in_width(method):
+    # one row 8x wider costs, beyond its output, only the extra columns of
+    # the padded uint8 source, which has 1 + before + after rows: a row
+    # whose first pass passes the budget is cut into column tiles
+    rng = np.random.default_rng(8)
+    (narrow, narrow_out), (wide, wide_out) = (
+        traced_peak(method, random_image(rng, width, 1), 8) for width in (65_536, 524_288)
+    )
+    padded_growth = (524_288 - 65_536) * (4 if method is resample_bicubic else 2)
+    growth = (wide - narrow) - (wide_out.pixels.nbytes - narrow_out.pixels.nbytes)
+    assert growth <= padded_growth + 64 * 1024, f"{growth} bytes beyond the output"
+
+
 class TestOutputLimit:
     """An output above the pixel limit is refused before anything is
     allocated; the limit is patched down, never reached for real."""
