@@ -238,8 +238,9 @@ class TestBench:
         groups = [rows[k : k + 4] for k in range(0, len(rows), 4)]
         assert [[r["method"] for r in g] for g in groups] == [["nn", "bilinear", "bicubic", "nnv"]] * 4
         assert all(len({(r["image"], r["ratio"]) for r in g}) == 1 for g in groups)
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert "## ratio = 2" in out.splitlines() and "| a |" in out
+        assert f"wrote 16 rows to {csv_path}" in err.splitlines()
 
     def test_method_subset(self, tmp_path, image_dir):
         csv_path = tmp_path / "bench.csv"

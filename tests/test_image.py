@@ -39,6 +39,8 @@ class TestImage:
         img = Image([[1]])
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 2
+        with pytest.raises(AttributeError):
+            img.extra = 1
 
     def test_callers_array_stays_writable_and_apart(self):
         pixels = np.zeros((4, 4), dtype=np.uint8)
@@ -187,6 +189,12 @@ class TestLoadPgm:
         peak, img = traced_peak(load_pgm, data)
         assert peak < 16 * 1024, peak
         assert img == load_pgm(bytearray(data))
+        # a buffer the caller may write is copied, so later writes miss the image
+        small = b"P5 2 1 255 " + bytes([10, 20])
+        for buffer in (bytearray(small), memoryview(bytearray(small))):
+            img = load_pgm(buffer)
+            buffer[-1] = 99
+            assert img.pixels.tolist() == [[10, 20]]
 
     def test_p2_trailing_text_costs_no_second_decode(self, rng):
         # text after the last sample is never parsed: the decode stops at

@@ -1,5 +1,8 @@
 """The package's top-level public surface."""
 
+import re
+from pathlib import Path
+
 import nnvresize
 
 PUBLIC_NAMES = [
@@ -28,3 +31,9 @@ def test_all_is_exactly_the_public_surface():
     assert sorted(nnvresize.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(nnvresize, name) is not None, name
+
+
+def test_version_is_the_one_in_pyproject():
+    # a regex, not tomllib, which Python 3.10 lacks
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    assert nnvresize.__version__ == re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
