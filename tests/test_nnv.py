@@ -1,8 +1,9 @@
-"""Mode selection, bilinear-guided neighbor choice, and the NNV resampler.
+"""Properties of NNV's per-pixel rule and of the NNV resampler.
 
-The per-pixel rule is checked through resample_nnv on 2x2 images: the
-top-left cell (a k / p g) is the only one without clamped companions,
-and its non-site pixels are the first ratio x ratio block minus (0, 0).
+The rule is checked through resample_nnv on 2x2 images: the top-left
+cell (a k / p g) is the only one without clamped companions, and its
+non-site pixels are the first ratio x ratio block minus (0, 0). Its
+hand-traced values are rows of CASES in tests/test_exact.py.
 """
 
 import itertools
@@ -14,89 +15,18 @@ from nnvresize import Image, resample_bilinear, resample_nnv
 from nnvresize.nnv import _bilinear_half_up
 
 from conftest import random_image
-from refimpl import exact_resample, oracle_unique_mode, pixel
-
-
-def _cell(a, k, p, g):
-    return Image([[a, k], [p, g]])
+from refimpl import exact_resample, oracle_unique_mode
 
 
 def _fill(cell, ratio):
-    """NNV values of the cell's non-site pixels, row-major."""
-    return resample_nnv(_cell(*cell), ratio).pixels[:ratio, :ratio].ravel()[1:]
-
-
-def _centered(cell):
-    """NNV value at offset (1/2, 1/2) of the cell."""
-    return pixel(resample_nnv(_cell(*cell), 2), 1, 1)
-
-
-class TestMode4:
-    """A unique mode of the cell fills every non-site pixel; (2,2) ties
-    and all-distinct cells fall back to the bilinear guide."""
-
-    def test_triple(self):
-        assert set(_fill((5, 5, 5, 9), 4)) == {5}
-
-    def test_two_pairs_is_a_tie(self):
-        # offset (1/4, 0) stays with 5; offset (0, 3/4) is nearer 7
-        assert set(_fill((5, 5, 7, 7), 4)) == {5, 7}
-
-    def test_all_distinct(self):
-        assert len(set(_fill((1, 2, 3, 4), 4))) > 1
-
-    def test_all_equal(self):
-        assert set(_fill((9, 9, 9, 9), 4)) == {9}
-
-    def test_single_pair(self):
-        assert set(_fill((3, 8, 3, 1), 4)) == {3}
-
-
-class TestAbsDiffs:
-    """The fallback measures each neighbor's gap to the bilinear value."""
-
-    def test_centered_cell(self):
-        # b = 25, gaps (15, 5, 5, 15)
-        assert pixel(resample_bilinear(_cell(10, 20, 30, 40), 2), 1, 1) == 25
-        assert _centered((10, 20, 30, 40)) == 20
-
-    def test_constant_cell(self):
-        img = _cell(7, 7, 7, 7)
-        assert np.all(resample_bilinear(img, 10).pixels == 7)
-        assert np.all(resample_nnv(img, 10).pixels == 7)
-
-    def test_single_bright_corner(self):
-        # b = 1, gaps (1, 1, 1, 3); the mode 0 wins anyway
-        assert pixel(resample_bilinear(_cell(0, 0, 0, 4), 2), 1, 1) == 1
-        assert _centered((0, 0, 0, 4)) == 0
-
-    def test_offsets_weight_the_estimate(self):
-        img = _cell(0, 100, 0, 100)
-        assert pixel(resample_bilinear(img, 4), 1, 2) == 25
-        out = resample_nnv(img, 4)
-        assert pixel(out, 1, 2) == 0  # b = 25
-        assert pixel(out, 3, 2) == 100  # b = 75
+    """NNV values of the non-site pixels of the cell (a, k, p, g), row-major."""
+    a, k, p, g = cell
+    return resample_nnv(Image([[a, k], [p, g]]), ratio).pixels[:ratio, :ratio].ravel()[1:]
 
 
 class TestSelectNeighbor:
     """Without a unique mode the first neighbor, in A/K/P/G order, at the
     smallest gap wins."""
-
-    def test_mode_equals_minimum(self):
-        # b = 15, all four gaps 5
-        assert _centered((10, 20, 20, 10)) == 10
-
-    def test_mode_is_not_minimum(self):
-        # offset (1/2, 1/4): b = 20, gaps (0, 10, 10, 20)
-        assert pixel(resample_nnv(_cell(20, 10, 30, 40), 4), 2, 1) == 20
-
-    def test_tied_pairs_take_first_minimum(self):
-        # offset (1/2, 0): b = 25, gaps (5, 5, 15, 15)
-        assert pixel(resample_nnv(_cell(20, 30, 10, 40), 4), 2, 0) == 20
-
-    def test_all_distinct(self):
-        # offset (1/4, 3/4): b = 27.5, gaps (17.5, 7.5, 2.5, 12.5)
-        assert pixel(resample_nnv(_cell(10, 20, 30, 40), 4), 1, 3) == 30
 
     @pytest.mark.parametrize("ratio", [5, 6])
     def test_midpoint_ties_exhaustively(self, ratio):
@@ -111,14 +41,6 @@ class TestSelectNeighbor:
 
 
 class TestNnvPixel:
-    def test_mode_branch_skips_bilinear(self):
-        # offset (9/10, 9/10): b = 8.42 is nearest 9, but the mode 5 wins
-        assert pixel(resample_bilinear(_cell(5, 5, 7, 9), 10), 9, 9) == 8
-        assert pixel(resample_nnv(_cell(5, 5, 7, 9), 10), 9, 9) == 5
-
-    def test_tied_pairs_fall_back_to_first_neighbor(self):
-        assert _centered((10, 10, 20, 20)) == 10
-
     def test_result_is_always_a_neighbor_value(self, rng):
         for _ in range(200):
             cell = [int(v) for v in rng.integers(0, 256, size=4)]
@@ -137,17 +59,6 @@ class TestNnvPixel:
 
 
 class TestResampleNnv:
-    def test_constant_image(self):
-        img = Image(np.full((3, 3), 9, dtype=np.uint8))
-        for n in (1, 2, 4):
-            assert np.all(resample_nnv(img, n).pixels == 9)
-
-    def test_hand_traced_2x2(self):
-        out = resample_nnv(Image([[10, 20], [30, 40]]), 2)
-        assert pixel(out, 1, 1) == 20  # centered cell follows the bilinear guide
-        assert pixel(out, 1, 0) == 10  # dy=0 row: all distinct, first minimum is A
-        assert pixel(out, 0, 0) == 10  # exact site copies the source
-
     def test_deterministic(self, rng):
         img = random_image(rng, 16, 16)
         first = resample_nnv(img, 4)
@@ -166,8 +77,3 @@ class TestResampleNnv:
             for i in range(r):
                 guide = (half_up + i * step) // (2 * r * r)
                 assert np.array_equal(guide, bilinear[:, :, :, i].transpose(1, 0, 2)), (r, i)
-
-    def test_degenerate_border_cells_replicate_edges(self):
-        # bottom-right corner cell collapses to a single source pixel
-        out = resample_nnv(Image([[1, 2], [3, 200]]), 3)
-        assert pixel(out, 5, 5) == 200

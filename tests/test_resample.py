@@ -1,4 +1,6 @@
-"""Coordinate mapping and the nearest/bilinear/bicubic upscalers."""
+"""The nearest/bilinear/bicubic upscalers: kernels, types, memory and limits.
+
+Their hand-traced values are rows of CASES in tests/test_exact.py."""
 
 import sys
 from unittest import mock
@@ -12,66 +14,15 @@ from nnvresize.image import _int_dtype
 from nnvresize.resample import _bilinear_weights, _cubic_weights, _half_up_dtype
 
 from conftest import random_image, traced_peak
-from refimpl import pixel
 
 ALL_METHODS = tuple(RESAMPLERS.values())
 
-# bilinear on a ramp of slope 12 reads back the source position x / ratio
-RAMP = Image([[0, 12, 24, 36]])
-CELL = Image([[10, 20], [30, 40]])
-
-
-class TestMapCoord:
-    """Output index x maps to source position x / ratio, companions clamp
-    to the edge, and a ratio other than an integer >= 1 is refused; seen
-    through the resamplers' values."""
-
-    def test_origin(self):
-        assert pixel(resample_bilinear(RAMP, 4), 0, 0) == 0
-
-    def test_exact_sample_site(self):
-        assert pixel(resample_bilinear(RAMP, 4), 4, 0) == 12
-
-    def test_halfway(self):
-        assert pixel(resample_bilinear(RAMP, 2), 3, 0) == 18
-
-    def test_thirds(self):
-        # 4 / 3 of the way along the ramp, exactly
-        assert pixel(resample_bilinear(RAMP, 3), 4, 0) == 16
-
-    def test_locus_clamps_companion(self):
-        out = resample_bilinear(CELL, 2)
-        assert pixel(out, 3, 0) == 20  # right edge: companion clamps
-        assert pixel(out, 3, 1) == 30  # interior row: no clamp
-
-    def test_locus_clamps_single_row(self):
-        out = resample_bilinear(Image([[10, 20]]), 2)
-        assert out.pixels.tolist() == [[10, 15, 20, 20]] * 2
-
 
 class TestNearest:
-    def test_tie_resolves_to_lower_index(self):
-        out = resample_nn(Image([[10, 20]]), 2)
-        # dst 1 maps to 0.5: tie, keep the lower source index
-        assert out.pixels[0].tolist() == [10, 10, 20, 20]
-
     def test_only_source_values_appear(self, rng):
         img = random_image(rng, 6, 6)
         out = resample_nn(img, 3)
         assert set(np.unique(out.pixels)) <= set(np.unique(img.pixels))
-
-
-class TestBilinearAt:
-    OUT = resample_bilinear(CELL, 4)
-
-    def test_center_is_plain_average(self):
-        assert pixel(self.OUT, 2, 2) == 25
-
-    def test_grid_point_is_exact(self):
-        assert pixel(self.OUT, 0, 0) == 10
-
-    def test_quarter_offset(self):
-        assert pixel(self.OUT, 1, 0) == 13  # 12.5 rounds half up
 
 
 class TestCubicKernel:
@@ -185,17 +136,6 @@ class TestBicubicCeiling:
         # the type rule of bilinear and NNV's guide never passes int64
         assert 46340**2 <= resample._MAX_OUTPUT_PIXELS < 46341**2
         assert _half_up_dtype(_bilinear_weights(46340), 255) == np.int64
-
-
-class TestBicubicResample:
-    def test_overshoot_at_plateau_edge(self):
-        out = resample_bicubic(Image([[0, 100, 100, 0]]), 2)
-        # phase-0.5 weights (-1/16, 9/16, 9/16, -1/16) on [0,100,100,0] -> 112.5
-        assert out.pixels[0, 3] == 113
-
-    def test_negative_lobe_clamps_to_zero(self):
-        out = resample_bicubic(Image([[100, 0, 0, 100]]), 2)
-        assert out.pixels[0, 3] == 0  # raw value -12.5 floors below range
 
 
 class TestSharedProperties:
