@@ -416,7 +416,7 @@ def run_mutant(mutant: Mutant, workdir: Path) -> tuple[bool, str]:
     applied to a fresh copy of src/ under ``workdir``."""
     src = workdir / "src"
     shutil.rmtree(src, ignore_errors=True)
-    shutil.copytree(PACKAGE.parent, src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    shutil.copytree(PACKAGE.parent, src, ignore=shutil.ignore_patterns("__pycache__"))
     path = src / "nnvresize" / mutant.file
     text = path.read_text()
     if text.count(mutant.old) != 1:
@@ -446,8 +446,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", action="append", metavar="NAME", help="run only this entry (repeatable)")
     args = parser.parse_args(argv)
-    names = {m.name for m in MUTANTS}
-    unknown = sorted(set(args.only or ()) - names)
+    unknown = sorted(set(args.only or ()) - {m.name for m in MUTANTS})
     if unknown:
         parser.error(f"no entry named {', '.join(unknown)}")
     chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
@@ -466,6 +465,7 @@ def main(argv=None) -> int:
     summary = ", ".join(f"{n} {verdict}" for verdict, n in counts.items())
     print(f"{len(chosen)} entries in {time.perf_counter() - start:.0f} s: {summary}", flush=True)
     return 1 if counts["SURVIVED"] or counts["KILLED, BUT EQUIVALENT"] else 0
+
 
 if __name__ == "__main__":
     sys.exit(main())

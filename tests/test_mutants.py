@@ -7,5 +7,4 @@ from mutants import MUTANTS, PACKAGE
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
 def test_old_text_occurs_once(mutant):
-    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
     assert (PACKAGE / mutant.file).read_text().count(mutant.old) == 1
