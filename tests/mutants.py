@@ -244,6 +244,41 @@ MUTANTS = [
         "color PPM input is refused by name",
     ),
     Mutant(
+        "comment-ends-only-at-lf",
+        "image.py",
+        r'rb"#[^\r\n]*"',
+        r'rb"#[^\n]*"',
+        "a comment ends at CR as well as at LF",
+    ),
+    Mutant(
+        "header-vt-not-whitespace",
+        "image.py",
+        r'rb"(?:[ \t\n\r\x0b\x0c]+|"',
+        r'rb"(?:[ \t\n\r\x0c]+|"',
+        "every PGM whitespace byte, VT included, separates header tokens",
+    ),
+    Mutant(
+        "p2-samples-past-count",
+        "image.py",
+        "_digit_runs(head)[: count - filled]",
+        "_digit_runs(head)",
+        "P2 samples past the raster are ignored",
+    ),
+    Mutant(
+        "one-band-for-the-whole-image",
+        "image.py",
+        "height, width = max(1, _BAND_BYTES // (cols * band_cost)),",
+        "height, width = rows,",
+        "memory stays flat in the height: bands hold about _BAND_BYTES",
+    ),
+    Mutant(
+        "one-row-per-band",
+        "image.py",
+        "height, width = max(1, _BAND_BYTES // (cols * band_cost)),",
+        "height, width = 1,",
+        "a band holds as many rows as fit _BAND_BYTES, not one",
+    ),
+    Mutant(
         "psnr-run-plus-one",
         "metrics.py",
         "_RUN = (2**32 - 1) // 255**2",
