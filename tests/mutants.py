@@ -279,6 +279,13 @@ MUTANTS = [
         "a band holds as many rows as fit _BAND_BYTES, not one",
     ),
     Mutant(
+        "allocate-before-size-check",
+        "resample.py",
+        "    if w * h * ratio * ratio > _MAX_OUTPUT_PIXELS:",
+        "    np.empty((h * ratio, w * ratio), np.uint8)\n    if w * h * ratio * ratio > _MAX_OUTPUT_PIXELS:",
+        "an output above the pixel limit is refused before anything is allocated",
+    ),
+    Mutant(
         "psnr-run-plus-one",
         "metrics.py",
         "_RUN = (2**32 - 1) // 255**2",
