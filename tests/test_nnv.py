@@ -2,7 +2,7 @@
 
 The rule is checked through resample_nnv on 2x2 images: the top-left
 cell (a k / p g) is the only one without clamped companions, and its
-non-site pixels are the first ratio x ratio block minus (0, 0). Its
+non-site pixels are the first ratio x ratio block minus (0, 0). Most of its
 hand-traced values are rows of CASES in tests/test_exact.py.
 """
 
@@ -15,13 +15,28 @@ from nnvresize import Image, resample_bilinear, resample_nnv
 from nnvresize.nnv import _bilinear_half_up
 
 from conftest import random_image
-from refimpl import exact_resample, oracle_unique_mode
+from refimpl import exact_resample, oracle_unique_mode, pixel
 
 
 def _fill(cell, ratio):
     """NNV values of the non-site pixels of the cell (a, k, p, g), row-major."""
     a, k, p, g = cell
     return resample_nnv(Image([[a, k], [p, g]]), ratio).pixels[:ratio, :ratio].ravel()[1:]
+
+
+class TestAbsDiffs:
+    """The fallback measures each neighbor's gap to the bilinear value."""
+
+    def test_centered_cell(self):
+        # b = 25, gaps (15, 5, 5, 15)
+        img = Image([[10, 20], [30, 40]])
+        assert pixel(resample_bilinear(img, 2), 1, 1) == 25
+        assert pixel(resample_nnv(img, 2), 1, 1) == 20
+
+    def test_constant_cell(self):
+        img = Image([[7, 7], [7, 7]])
+        assert np.all(resample_bilinear(img, 10).pixels == 7)
+        assert np.all(resample_nnv(img, 10).pixels == 7)
 
 
 class TestSelectNeighbor:
@@ -59,6 +74,17 @@ class TestNnvPixel:
 
 
 class TestResampleNnv:
+    def test_constant_image(self):
+        img = Image(np.full((3, 3), 9, dtype=np.uint8))
+        for n in (1, 2, 4):
+            assert np.all(resample_nnv(img, n).pixels == 9)
+
+    def test_hand_traced_2x2(self):
+        out = resample_nnv(Image([[10, 20], [30, 40]]), 2)
+        assert pixel(out, 1, 1) == 20  # centered cell follows the bilinear guide
+        assert pixel(out, 1, 0) == 10  # dy=0 row: all distinct, first minimum is A
+        assert pixel(out, 0, 0) == 10  # exact site copies the source
+
     def test_deterministic(self, rng):
         img = random_image(rng, 16, 16)
         first = resample_nnv(img, 4)

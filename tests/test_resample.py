@@ -1,6 +1,6 @@
 """The nearest/bilinear/bicubic upscalers: kernels, types, memory and limits.
 
-Their hand-traced values are rows of CASES in tests/test_exact.py."""
+Most of their hand-traced values are rows of CASES in tests/test_exact.py."""
 
 import sys
 from unittest import mock
@@ -14,8 +14,24 @@ from nnvresize.image import _int_dtype
 from nnvresize.resample import _bilinear_weights, _cubic_weights, _half_up_dtype
 
 from conftest import random_image, traced_peak
+from refimpl import pixel
 
 ALL_METHODS = tuple(RESAMPLERS.values())
+
+# bilinear on a ramp of slope 12 reads back the source position x / ratio
+RAMP = Image([[0, 12, 24, 36]])
+CELL = Image([[10, 20], [30, 40]])
+
+
+class TestMapCoord:
+    """Output index x maps to source position x / ratio; seen through
+    bilinear's values."""
+
+    def test_origin(self):
+        assert pixel(resample_bilinear(RAMP, 4), 0, 0) == 0
+
+    def test_exact_sample_site(self):
+        assert pixel(resample_bilinear(RAMP, 4), 4, 0) == 12
 
 
 class TestNearest:
@@ -23,6 +39,17 @@ class TestNearest:
         img = random_image(rng, 6, 6)
         out = resample_nn(img, 3)
         assert set(np.unique(out.pixels)) <= set(np.unique(img.pixels))
+
+
+class TestBilinearAt:
+    def test_center_is_plain_average(self):
+        assert pixel(resample_bilinear(CELL, 4), 2, 2) == 25
+
+    def test_grid_point_is_exact(self):
+        assert pixel(resample_bilinear(CELL, 4), 0, 0) == 10
+
+    def test_quarter_offset(self):
+        assert pixel(resample_bilinear(CELL, 4), 1, 0) == 13  # 12.5 rounds half up
 
 
 class TestCubicKernel:
