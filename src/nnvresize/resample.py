@@ -35,8 +35,6 @@ stays whole, and its kernels step through their r phases once a band.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .image import Image, _check_count, _int_dtype, _tiles
@@ -47,20 +45,18 @@ _MAX_OUTPUT_PIXELS = 2**31
 # the largest bicubic ratio: reach * d, a bound of _bicubic's split, fits int64
 _MAX_BICUBIC_RATIO = 1107
 
-# kernel(band, ratio, max_value, out) writes one tile's output: band holds
-# the padded source rows [y0, y1 + before + after) and columns
-# [x0, x1 + before + after), and out is the (y1 - y0, ratio,
-# (x1 - x0)*ratio) view of the output whose [y, j, k] pixel is output
-# pixel ((y0 + y)*ratio + j, x0*ratio + k)
-Kernel = Callable[[np.ndarray, int, int, np.ndarray], None]
-
-
-def _banded(img: Image, ratio, before: int, after: int, kernel: Kernel) -> Image:
+def _banded(img: Image, ratio, before: int, after: int, kernel) -> Image:
     """Upscale ``img`` tile by tile with ``kernel`` over the source
     edge-padded by ``before`` rows and columns before it and ``after``
     after it: image._tiles sizes bands by their output, r*r bytes a
     source pixel, and tiles by the r values a source pixel that each
     kernel's first pass holds.
+
+    kernel(band, ratio, max_value, out) writes one tile's output: band
+    holds the padded source rows [y0, y1 + before + after) and columns
+    [x0, x1 + before + after), and out is the (y1 - y0, ratio,
+    (x1 - x0)*ratio) view of the output whose [y, j, k] pixel is output
+    pixel ((y0 + y)*ratio + j, x0*ratio + k).
 
     The ratio and the output size are checked before anything is
     allocated.

@@ -420,14 +420,6 @@ MUTANTS = [
         "pass",
         "a decoded image does not change when the caller writes its buffer",
     ),
-    Mutant(
-        "kernel-alias",
-        "resample.py",
-        "Kernel = Callable[[np.ndarray, int, int, np.ndarray], None]",
-        "pass",
-        "none: an annotation",
-        equivalent="under `from __future__ import annotations` no annotation naming Kernel is evaluated",
-    ),
     # --- behaviours that tests/test_exact.py's hand-traced CASES pin ---------
     Mutant(
         "bicubic-clamp-floor-one",

@@ -123,6 +123,9 @@ CASES = [
     ("mode-skips-guide", "nnv", [[5, 5], [7, 9]], 255, 10, {(9, 9): 5}),
     # the bottom-right cell clamps to the one source pixel 200
     ("corner-cell-replicates-edge", "nnv", [[1, 2], [3, 200]], 255, 3, {(5, 5): 200}),
+    # cell (a, k, p, g) = (0, 1, 3, 2), offset (4/6, 3/6): the bilinear
+    # value is exactly 3/2, so round half up gives 2
+    ("bilinear-half-way-at-6", "bilinear", [[0, 1], [3, 2]], 255, 6, {(4, 3): 2}),
 ]
 
 
@@ -133,14 +136,6 @@ def test_hand_traced_case(method, rows, max_value, ratio, pins):
     out = get_resampler(method)(Image(rows, max_value), ratio)
     assert {(x, y): pixel(out, x, y) for x, y in pins} == pins
     assert {(x, y): exact_pixel(method, rows, max_value, ratio, x, y) for x, y in pins} == pins
-
-
-def test_half_way_bilinear_rounds_up_at_ratio_6():
-    # cell (a, k, p, g) = (0, 1, 3, 2), offset (4/6, 3/6): the bilinear
-    # value is exactly 3/2, so round half up gives 2
-    img = Image([[0, 1], [3, 2]])
-    assert exact_pixel("bilinear", img.pixels.tolist(), 255, 6, 4, 3) == 2
-    assert pixel(get_resampler("bilinear")(img, 6), 4, 3) == 2
 
 
 def check_bicubic_past_int64(img):

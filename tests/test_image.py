@@ -277,23 +277,11 @@ class TestWritePgm:
 
 
 class TestBlockDownsample:
-    def test_mean_of_block(self):
-        img = Image([[10, 20], [30, 40]])
-        assert block_downsample(img, 2).pixels.tolist() == [[25]]
+    """Its hand values are rows of CASES in tests/test_reductions.py."""
 
     def test_identity_ratio(self, rng):
         img = random_image(rng, 6, 4)
         assert block_downsample(img, 1) == img
-
-    def test_round_half_up_on_quarter(self):
-        # mean 0.25 rounds down to 0
-        img = Image([[0, 1], [0, 0]])
-        assert block_downsample(img, 2).pixels.tolist() == [[0]]
-
-    def test_round_half_up_on_half(self):
-        # mean 0.5 rounds up to 1
-        img = Image([[1, 1], [0, 0]])
-        assert block_downsample(img, 2).pixels.tolist() == [[1]]
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ValueError, match="divisible"):

@@ -1,5 +1,7 @@
-"""psnr and block_downsample against whole-image int64 oracles, and the
-tile walker that block_downsample shares with the resamplers.
+"""psnr and block_downsample against whole-image int64 oracles, the tile
+walker that block_downsample shares with the resamplers, and two tables:
+CASES, the reductions' hand values, and FLAT, the bytes by which every
+tiled layer's peak memory may grow with the image beyond its output.
 
 The package walks images in narrow integers, block_downsample in the
 tiles of image._tiles (row bands, split into column tiles where one block
@@ -15,7 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnvresize import Image, block_downsample, image, psnr
+from nnvresize import (
+    Image,
+    block_downsample,
+    image,
+    psnr,
+    resample_bicubic,
+    resample_bilinear,
+    resample_nn,
+    resample_nnv,
+)
 
 from conftest import band_bytes, random_image, traced_peak
 from refimpl import oracle_block_downsample, oracle_mse, oracle_psnr
@@ -143,47 +154,76 @@ def test_reductions_match_oracles_property(ratio, blocks, max_value, seed, band)
         assert_metrics_exact(a, b)
 
 
-def test_metrics_peak_memory_flat_in_height():
-    # a run's uint8 difference and uint16 square are the same size for a
-    # 256-row and a 2048-row image
+# Hand values, one row per case: name, function, its arguments, the field
+# of the result pinned and its value. Each is checked against the package
+# and against refimpl's oracle; psnr is symmetric, so each pair is checked
+# in both orders.
+CASES = [
+    ("downsample-mean-of-block", block_downsample, (Image([[10, 20], [30, 40]]), 2), "pixels", [[25]]),
+    # means 0.25 and 0.5 round half up, to 0 and 1
+    ("downsample-round-half-up-on-quarter", block_downsample, (Image([[0, 1], [0, 0]]), 2), "pixels", [[0]]),
+    ("downsample-round-half-up-on-half", block_downsample, (Image([[1, 1], [0, 0]]), 2), "pixels", [[1]]),
+    ("mse-single-unit-difference", psnr, (Image([[255]]), Image([[254]])), "mse", 1.0),
+    ("mse-three-four-five", psnr, (Image([[0, 0]]), Image([[3, 4]])), "mse", 12.5),  # (9 + 16) / 2
+    # 70 000 * 255**2 passes 2**32, so a uint32 row sum would wrap
+    ("mse-full-scale-difference-on-a-wide-row", psnr, (Image([[0] * 70_000]), Image([[255] * 70_000])), "mse", 65025.0),
+    # 10 * log10(100**2 / 1)
+    ("psnr-respects-max-value", psnr, (Image([[100]], 100), Image([[99]], 100)), "psnr_db", 40.0),
+]
+ORACLES = {block_downsample: oracle_block_downsample, psnr: oracle_psnr}
+
+
+@pytest.mark.parametrize("fn, args, field, want", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_hand_value(fn, args, field, want):
+    orders = (args, args[::-1]) if fn is psnr else (args,)
+    for f in (fn, ORACLES[fn]):
+        for order in orders:
+            got = getattr(f(*order), field)
+            assert (got.tolist() if field == "pixels" else got) == want, (f.__name__, order)
+
+
+KIB = 1024
+
+# The peak of one call at the large (width, height) may pass the peak at
+# the small one by the output's growth and the allowed bytes, no more:
+# name, function, ratio (None for psnr, which compares two images of the
+# size and has no output), small size, large size, allowed bytes.
+FLAT = [
+    # a resampler 8x taller: the extra rows of the padded uint8 source, at
+    # most 3 columns of padding (bicubic); every other temporary is a band's
+    ("resample_nn-height", resample_nn, 4, (256, 256), (256, 2048), (2048 - 256) * (256 + 3) + 16 * KIB),
+    ("resample_bilinear-height", resample_bilinear, 4, (256, 256), (256, 2048), (2048 - 256) * (256 + 3) + 16 * KIB),
+    ("resample_bicubic-height", resample_bicubic, 4, (256, 256), (256, 2048), (2048 - 256) * (256 + 3) + 16 * KIB),
+    ("resample_nnv-height", resample_nnv, 4, (256, 256), (256, 2048), (2048 - 256) * (256 + 3) + 16 * KIB),
+    # one row 8x wider: the extra columns of the padded uint8 source, which
+    # has 1 + before + after rows; a row whose first pass passes the budget
+    # is cut into column tiles
+    ("resample_nn-width", resample_nn, 8, (65_536, 1), (524_288, 1), (524_288 - 65_536) * 2 + 64 * KIB),
+    ("resample_bilinear-width", resample_bilinear, 8, (65_536, 1), (524_288, 1), (524_288 - 65_536) * 2 + 64 * KIB),
+    ("resample_bicubic-width", resample_bicubic, 8, (65_536, 1), (524_288, 1), (524_288 - 65_536) * 4 + 64 * KIB),
+    ("resample_nnv-width", resample_nnv, 8, (65_536, 1), (524_288, 1), (524_288 - 65_536) * 2 + 64 * KIB),
+    # one run of psnr, or one band or column tile of block_downsample: runs
+    # end mid-row, and a block row past the band budget is split into
+    # column tiles, so nothing but the output grows
+    ("psnr-height", psnr, None, (256, 256), (256, 2048), 16 * KIB),
+    ("psnr-width", psnr, None, (65_536, 1), (1_048_576, 1), 16 * KIB),
+    ("block_downsample-height", block_downsample, 2, (256, 256), (256, 2048), 16 * KIB),
+    ("block_downsample-width-2", block_downsample, 2, (65_536, 2), (1_048_576, 2), 16 * KIB),
+    ("block_downsample-width-8", block_downsample, 8, (65_536, 8), (1_048_576, 8), 16 * KIB),
+]
+
+
+def peak_beyond_output(fn, ratio, rng, width, height):
+    """tracemalloc peak of one call at width x height, less its output's bytes."""
+    img = random_image(rng, width, height)
+    if ratio is None:
+        return traced_peak(fn, img, random_image(rng, width, height))[0]
+    peak, out = traced_peak(fn, img, ratio)
+    return peak - out.pixels.nbytes
+
+
+@pytest.mark.parametrize("fn, ratio, small, large, allowed", [row[1:] for row in FLAT], ids=[row[0] for row in FLAT])
+def test_peak_memory_flat(fn, ratio, small, large, allowed):
     rng = np.random.default_rng(2048)
-    short, tall = (
-        traced_peak(psnr, random_image(rng, 256, height), random_image(rng, 256, height))[0]
-        for height in (256, 2048)
-    )
-    assert tall - short <= 16 * 1024, f"{tall - short} bytes more for an 8x taller image"
-
-
-def test_metrics_peak_memory_flat_in_width():
-    # runs end mid-row, so a one-row pair 16x wider holds the same run
-    rng = np.random.default_rng(65536)
-    narrow, wide = (
-        traced_peak(psnr, random_image(rng, width, 1), random_image(rng, width, 1))[0]
-        for width in (65_536, 1_048_576)
-    )
-    assert wide - narrow <= 16 * 1024, f"{wide - narrow} bytes more for a 16x wider row"
-
-
-def test_block_downsample_peak_memory_flat_in_height():
-    # an image 8x taller costs only its extra output rows: the band's row
-    # and block sums are the same size
-    rng = np.random.default_rng(2048)
-    (short, short_out), (tall, tall_out) = (
-        traced_peak(block_downsample, random_image(rng, 256, height), 2) for height in (256, 2048)
-    )
-    growth = tall - short
-    extra_output = tall_out.pixels.nbytes - short_out.pixels.nbytes
-    assert growth <= extra_output + 16 * 1024, f"{growth - extra_output} bytes beyond the extra output"
-
-
-@pytest.mark.parametrize("ratio", (2, 8))
-def test_block_downsample_peak_memory_flat_in_width(ratio):
-    # one block row 16x wider costs only its extra output: a row past the
-    # band budget is split into column tiles whose sums are the same size
-    rng = np.random.default_rng(ratio)
-    (narrow, narrow_out), (wide, wide_out) = (
-        traced_peak(block_downsample, random_image(rng, width, ratio), ratio) for width in (65_536, 1_048_576)
-    )
-    growth = wide - narrow
-    extra_output = wide_out.pixels.nbytes - narrow_out.pixels.nbytes
-    assert growth <= extra_output + 16 * 1024, f"{growth - extra_output} bytes beyond the extra output"
+    growth = peak_beyond_output(fn, ratio, rng, *large) - peak_beyond_output(fn, ratio, rng, *small)
+    assert growth <= allowed, f"{growth} bytes beyond the output's growth, {allowed} allowed"

@@ -1,6 +1,8 @@
 """The nearest/bilinear/bicubic upscalers: kernels, types, memory and limits.
 
-Most of their hand-traced values are rows of CASES in tests/test_exact.py."""
+Most of their hand-traced values are rows of CASES in tests/test_exact.py,
+and their memory's growth with the image is rows of FLAT in
+tests/test_reductions.py."""
 
 import sys
 from unittest import mock
@@ -228,34 +230,6 @@ def test_peak_memory_bounded(method):
         img = random_image(np.random.default_rng(256), 256, 256)
         peak, out = traced_peak(method, img, ratio)
         assert peak <= bound * out.pixels.nbytes, f"ratio {ratio}: {peak / out.pixels.nbytes:.2f}x the output"
-
-
-@pytest.mark.parametrize("method", PEAK_BOUNDS, ids=lambda f: f.__name__)
-def test_peak_memory_flat_in_height(method):
-    # an image 8x taller costs, beyond its output, only the extra rows of
-    # the padded uint8 source (at most 3 columns of padding, for bicubic):
-    # every other temporary is the size of a band
-    rng = np.random.default_rng(2048)
-    (short, short_out), (tall, tall_out) = (
-        traced_peak(method, random_image(rng, 256, height), 4) for height in (256, 2048)
-    )
-    padded_growth = (2048 - 256) * (256 + 3)
-    growth = (tall - short) - (tall_out.pixels.nbytes - short_out.pixels.nbytes)
-    assert growth <= padded_growth + 16 * 1024, f"{growth} bytes beyond the output"
-
-
-@pytest.mark.parametrize("method", PEAK_BOUNDS, ids=lambda f: f.__name__)
-def test_peak_memory_flat_in_width(method):
-    # one row 8x wider costs, beyond its output, only the extra columns of
-    # the padded uint8 source, which has 1 + before + after rows: a row
-    # whose first pass passes the budget is cut into column tiles
-    rng = np.random.default_rng(8)
-    (narrow, narrow_out), (wide, wide_out) = (
-        traced_peak(method, random_image(rng, width, 1), 8) for width in (65_536, 524_288)
-    )
-    padded_growth = (524_288 - 65_536) * (4 if method is resample_bicubic else 2)
-    growth = (wide - narrow) - (wide_out.pixels.nbytes - narrow_out.pixels.nbytes)
-    assert growth <= padded_growth + 64 * 1024, f"{growth} bytes beyond the output"
 
 
 class TestOutputLimit:
